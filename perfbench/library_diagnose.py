@@ -10,6 +10,7 @@ the store, the wire or syndrome generation runs.
 
 from __future__ import annotations
 
+import gc
 import time
 
 import numpy as np
@@ -57,9 +58,13 @@ def measure(seed: int, seconds: float, checker, tracer=None, setups: int = SETUP
     if tracer is not None:
         tracer.install()
     try:
+        diagnosers: list = []
         for _ in range(setups):
-            start = time.perf_counter()
+            # Free the previous set-up's topologies before the clock starts,
+            # so each set-up times construction alone.
             diagnosers = []
+            gc.collect()
+            start = time.perf_counter()
             for family, params, syndromes, delta, n in inputs:
                 diagnoser = GeneralDiagnoser(create_network(family, **params))
                 buffer, faults = syndromes[0]

@@ -39,11 +39,7 @@ def table(result, tracer) -> str:
     counts = {"entries": 0, "lookups": 0}
     requests = sum(len(b[MEMBERS]) for b in batches)
     for batch in batches:
-        for member in batch[MEMBERS]:
-            ready = max([index.by_id[member][START]]
-                        + [k[END] for k in index.children.get(member, ())
-                           if k[END] <= batch[START]])
-            stage_ms["queue_wait"] += 1e3 * (batch[START] - ready)
+        stage_ms["queue_wait"] += 1e3 * sum(index.queue_waits(batch))
         stack = list(index.children.get(batch[0], ()))
         while stack:
             span = stack.pop()

@@ -12,6 +12,7 @@ due, not from when the generator got round to sending it.
 from __future__ import annotations
 
 import asyncio
+import gc
 import time
 
 import numpy as np
@@ -119,6 +120,10 @@ async def _run(seed, seconds, checker, setups):
         if service is not None:
             await service.close()
             store.close()
+            # Free the previous set-up before the clock starts, so each
+            # set-up times construction alone.
+            service = store = None
+            gc.collect()
         path = _store_path(k)
         if not native._forced_off:
             native._kernel = "unset"  # load the kernel again, as a fresh process does

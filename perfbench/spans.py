@@ -232,6 +232,18 @@ class SpanIndex:
     def kids(self, span) -> list:
         return self.children.get(span[ID], []) + self.member_spans.get(span[ID], [])
 
+    def queue_waits(self, batch) -> list[float]:
+        """Per member of ``batch``: seconds from the end of the request's own
+        pre-queue work (its store probe) to the start of the batch."""
+        waits = []
+        for member in batch[MEMBERS]:
+            submit = self.by_id.get(member)
+            if submit is not None:
+                ready = max([submit[START]] + [k[END] for k in self.children.get(member, ())
+                                               if k[END] <= batch[START]])
+                waits.append(batch[START] - ready)
+        return waits
+
     def reachable(self, ops) -> list:
         """Every span that worked for one of ``ops``, each once."""
         seen: dict[int, list] = {}
@@ -299,17 +311,7 @@ def layer_metrics(spans, ops, *, root_layer: str) -> dict[str, tuple[float, str]
     batches = named["batch"]
     digests = named["digest"]
 
-    # Queue wait: from the end of a request's own pre-queue work (its store
-    # probe) to the start of the batch that served it.
-    waits = []
-    for batch in batches:
-        for member in batch[MEMBERS]:
-            submit = index.by_id.get(member)
-            if submit is None:
-                continue
-            ready = max([submit[START]] + [k[END] for k in index.children.get(member, [])
-                                           if k[END] <= batch[START]])
-            waits.append(batch[START] - ready)
+    waits = [wait for batch in batches for wait in index.queue_waits(batch)]
 
     selfs = index.self_times(ops)
     metrics = {
