@@ -137,14 +137,14 @@ def measure_fairness(*, smoke: bool) -> dict:
 
 
 def measure_kernel(*, smoke: bool) -> dict:
-    """The ``batched_kernel`` row: one stacked ``diagnose_many`` call vs the
-    sequential per-request ``diagnose`` loop the serving path used before
-    the kernel existed.  Syndromes are built outside the timed region (both
-    modes pay that identically); the stacked call runs in the service's
-    light mode (no healthy-set materialisation — responses only carry the
-    accusation set and counters).  Outcomes are verified bit-identical on
-    accusations, root, probes, partition level and lookup count before any
-    time is recorded."""
+    """The ``batched_kernel`` row: one stacked ``diagnose_many`` call vs a
+    sequential per-request ``diagnose`` loop.  ``diagnose`` now runs the
+    same kernel at width 1, so the ratio measures stacking alone.
+    Syndromes are built outside the timed region (both modes pay that
+    identically), and neither mode reads the healthy sets, which are built
+    only on demand.  Outcomes are verified bit-identical on accusations,
+    root, probes, partition level and lookup count before any time is
+    recorded."""
     import time
 
     from repro.backend.array_syndrome import ArraySyndrome
@@ -165,7 +165,7 @@ def measure_kernel(*, smoke: bool) -> dict:
     ]
 
     references = [diagnoser.diagnose(s) for s in syndromes]
-    stacked = diagnoser.diagnose_many(syndromes, include_sets=False)
+    stacked = diagnoser.diagnose_many(syndromes)
     identical = all(
         out.faulty == ref.faulty
         and out.healthy_root == ref.healthy_root
@@ -182,7 +182,7 @@ def measure_kernel(*, smoke: bool) -> dict:
             diagnoser.diagnose(syndrome)
         sequential_best = min(sequential_best, time.perf_counter() - t0)
         t0 = time.perf_counter()
-        diagnoser.diagnose_many(syndromes, include_sets=False)
+        diagnoser.diagnose_many(syndromes)
         stacked_best = min(stacked_best, time.perf_counter() - t0)
 
     return {

@@ -18,8 +18,8 @@ distributed simulator and the baselines) operate on flat arrays:
 * the *pair layout* (``pair_indptr``) assigns every comparison test
   ``s_u(v, w)`` a dense slot, which :class:`~repro.backend.array_syndrome.\
 ArraySyndrome` uses for O(1) syndrome access without hashing;
-* ``boundary`` computes ``N(U) \\ U`` — the diagnosis output — as a single
-  vectorised pass over the edge array.
+* ``boundary`` computes ``N(U) \\ U`` — the diagnosis output — from the
+  complement side: only the rows of non-members are scanned.
 
 Compilation is memoized per network instance (:func:`compile_network`) and the
 registry (:func:`repro.networks.registry.cached_network`) memoizes instances
@@ -92,7 +92,6 @@ class CSRAdjacency:
         "_rows",
         "_pair_base",
         "_pair_members",
-        "_edge_src",
         "_shm",
     )
 
@@ -114,7 +113,6 @@ class CSRAdjacency:
         self._rows: list[tuple[int, ...]] | None = None
         self._pair_base: list[int] | None = None
         self._pair_members: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._edge_src: np.ndarray | None = None
         #: shared-memory mapping backing indptr/indices, when this instance was
         #: reconstructed by repro.parallel.shm.attach_topology (keeps the
         #: mapping alive exactly as long as the views handed out from it)
@@ -204,44 +202,28 @@ class CSRAdjacency:
         return self._pair_members
 
     # ------------------------------------------------------------ set algebra
-    @property
-    def edge_src(self) -> np.ndarray:
-        """Source node of every directed adjacency entry (``int32``, length 2E)."""
-        if self._edge_src is None:
-            degrees = np.diff(self.indptr)
-            self._edge_src = np.repeat(
-                np.arange(self.num_nodes, dtype=np.int32), degrees
-            )
-        return self._edge_src
-
     def boundary(self, members) -> set[int]:
-        """``N(U) \\ U`` for a node set ``U`` — one vectorised pass over the edges.
+        """``N(U) \\ U`` for a node set ``U``: the non-members with a member neighbour.
 
         ``members`` is an iterable of node ids or a boolean mask over all
-        nodes.
+        nodes.  Only the rows of non-members are read, so the cost is
+        ``O((N - |U|)·Δ)`` — a handful of entries when ``U`` is the grown
+        healthy set of a diagnosis.
         """
         if isinstance(members, np.ndarray) and members.dtype == bool:
             mask = members
         else:
             mask = np.zeros(self.num_nodes, dtype=bool)
-            member_ids = np.fromiter(members, dtype=np.int64, count=-1)
-            if member_ids.size == 0:
-                return set()
-            mask[member_ids] = True
-        hit = mask[self.edge_src] & ~mask[self.indices]
-        out = np.zeros(self.num_nodes, dtype=bool)
-        out[self.indices[hit]] = True
-        return set(np.flatnonzero(out).tolist())
+            mask[np.fromiter(members, dtype=np.int64, count=-1)] = True
+        return self._outside_touching(mask)
 
     def boundary_many(self, member_rows) -> list[set[int]]:
-        """``N(U) \\ U`` for a stack of membership masks in one edge pass.
+        """``N(U) \\ U`` for a stack of membership masks.
 
         ``member_rows`` is a ``(B, num_nodes)`` boolean array (or a sequence
         of per-run masks, e.g. the ``member_mask`` rows a stacked
         ``set_builder_many`` run produces).  Row ``b`` of the result equals
-        ``boundary(member_rows[b])`` — the stacked form exists so a batched
-        diagnosis pays the edge-array gather once per batch, not once per
-        syndrome.
+        ``boundary(member_rows[b])``.
         """
         member_rows = np.asarray(member_rows, dtype=bool)
         if member_rows.ndim != 2 or member_rows.shape[1] != self.num_nodes:
@@ -249,13 +231,18 @@ class CSRAdjacency:
                 f"expected a (B, {self.num_nodes}) boolean stack, "
                 f"got shape {member_rows.shape}"
             )
-        hit = member_rows[:, self.edge_src] & ~member_rows[:, self.indices]
-        boundaries: list[set[int]] = []
-        for row in hit:
-            out = np.zeros(self.num_nodes, dtype=bool)
-            out[self.indices[row]] = True
-            boundaries.append(set(np.flatnonzero(out).tolist()))
-        return boundaries
+        return [self._outside_touching(row) for row in member_rows]
+
+    def _outside_touching(self, mask: np.ndarray) -> set[int]:
+        """Non-members of ``mask`` with a member neighbour (see :meth:`boundary`)."""
+        outside = np.flatnonzero(~mask)
+        starts = self.indptr[outside]
+        counts = self.indptr[outside + 1] - starts
+        # Flat address of every entry of the non-member rows, row by row.
+        addr = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        addr += np.arange(addr.size, dtype=np.int64)
+        owner = np.repeat(outside, counts)
+        return set(owner[mask[self.indices[addr]]].tolist())
 
     # ---------------------------------------------------------------- dunders
     def __len__(self) -> int:

@@ -42,8 +42,11 @@ from typing import Sequence
 from ..backend.csr import compile_network
 from ..networks.base import InterconnectionNetwork, PartitionClass
 from .set_builder import (
+    Later,
+    OnDemand,
     SetBuilderResult,
     certificate_node_budget,
+    mask_members,
     set_builder,
     set_builder_many,
 )
@@ -85,7 +88,7 @@ class DiagnosisResult:
     healthy_root:
         The certifiably healthy node the final ``Set_Builder`` started from.
     healthy_nodes:
-        The final grown set ``U_r`` (all healthy).
+        The final grown set ``U_r`` (all healthy; built on first read).
     tree_parent:
         The spanning tree of ``U_r`` produced as a by-product (paper
         Section 6 points out it can be reused by other services).
@@ -102,22 +105,26 @@ class DiagnosisResult:
 
     faulty: frozenset[int]
     healthy_root: int
-    healthy_nodes: frozenset[int]
-    tree_parent: dict[int, int]
+    healthy_nodes: frozenset[int] = OnDemand()
+    tree_parent: dict[int, int] = OnDemand()
     probes: list[ProbeRecord] = field(default_factory=list)
     partition_level: int | None = None
     lookups: int = 0
     elapsed_seconds: float = 0.0
+    #: boolean membership mask of ``U_r`` when the final run produced one
+    member_mask: object = field(default=None, compare=False, repr=False)
 
     @property
     def num_probes(self) -> int:
         return len(self.probes)
 
     def summary(self) -> str:
-        """One-line human-readable summary."""
+        """One-line human-readable summary (never builds ``healthy_nodes``)."""
+        size = (len(self.healthy_nodes) if self.member_mask is None
+                else int(self.member_mask.sum()))
         return (
             f"{len(self.faulty)} faults, root={self.healthy_root}, "
-            f"|U_r|={len(self.healthy_nodes)}, probes={self.num_probes}, "
+            f"|U_r|={size}, probes={self.num_probes}, "
             f"lookups={self.lookups}, {self.elapsed_seconds * 1e3:.1f} ms"
         )
 
@@ -144,7 +151,9 @@ class GeneralDiagnoser:
     compiled:
         If True (default), compile the topology to the flat-array backend on
         construction; every ``Set_Builder`` run and the final boundary
-        computation then operate on the compiled arrays.  ``False`` selects
+        computation then operate on the compiled arrays; the final run of
+        both :meth:`diagnose` and :meth:`diagnose_many` is the batched kernel
+        :func:`~repro.core.set_builder.set_builder_many`.  ``False`` selects
         the original object-based reference path.
     sharder:
         Optional :class:`~repro.parallel.sharded.ShardedSetBuilder` over the
@@ -298,42 +307,18 @@ class GeneralDiagnoser:
 
     # -------------------------------------------------------------- diagnosis
     def diagnose(self, syndrome: Syndrome) -> DiagnosisResult:
-        """Run the full algorithm and return the diagnosed fault set."""
-        start_time = time.perf_counter()
-        lookups_before = syndrome.lookups
+        """Run the full algorithm and return the diagnosed fault set.
 
-        root, probes, level = self.find_healthy_root(syndrome)
-
-        if self.sharder is not None:
-            final = self.sharder.run(syndrome, root, diagnosability=self.delta)
-        else:
-            final = set_builder(
-                self.network,
-                syndrome,
-                root,
-                diagnosability=self.delta,
-                compiled=self.compiled,
-            )
-        healthy = final.nodes
-        if self.csr is not None and final.member_mask is not None:
-            faulty = self.csr.boundary(final.member_mask)
-        else:
-            faulty = self._boundary(healthy)
-
-        elapsed = time.perf_counter() - start_time
-        return DiagnosisResult(
-            faulty=frozenset(faulty),
-            healthy_root=root,
-            healthy_nodes=frozenset(healthy),
-            tree_parent=final.parent,
-            probes=probes,
-            partition_level=level,
-            lookups=syndrome.lookups - lookups_before,
-            elapsed_seconds=elapsed,
-        )
+        Equal to ``diagnose_many([syndrome])[0]``, raising the exception that
+        entry would hold.
+        """
+        [outcome] = self._diagnose_all([syndrome])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def diagnose_many(
-        self, syndromes: Sequence[Syndrome], *, include_sets: bool = True
+        self, syndromes: Sequence[Syndrome]
     ) -> list["DiagnosisResult | Exception"]:
         """Diagnose a stack of syndromes with one batched final ``Set_Builder``.
 
@@ -341,90 +326,91 @@ class GeneralDiagnoser:
         partition-restricted), but the network-sized final run — the bulk of
         every diagnosis — executes as a single
         :func:`~repro.core.set_builder.set_builder_many` pass over the whole
-        stack, followed by one stacked boundary computation.  Each returned
-        entry is **bit-identical** to what :meth:`diagnose` produces for the
-        same syndrome: accusation set, healthy root, probe records and the
-        consulted-entry count all match (pinned by ``tests/differential``).
+        stack, followed by the boundary of each grown set.  Each entry is
+        **bit-identical** to the per-syndrome reference path (pinned by
+        ``tests/differential``); ``healthy_nodes`` and ``tree_parent`` are
+        built from the kernel's member mask the first time they are read.
 
-        Failures never poison batch mates: a syndrome whose root search
-        raises :class:`DiagnosisError` (or a ``ValueError``) yields the
-        *exception object* in its slot — the exact exception :meth:`diagnose`
-        would have raised — while the rest of the stack proceeds.  Syndromes
-        the stacked kernel cannot take (no compiled backend, a sharder
-        configured, or a non-``ArraySyndrome``) fall back to a sequential
-        :meth:`diagnose` per item, with the same per-item error capture.
-
-        ``include_sets=False`` skips materialising ``healthy_nodes`` and
-        ``tree_parent`` (they come back empty); ``faulty``, ``lookups`` and
-        the probe bookkeeping are always exact.  The serving layer uses this
-        light mode — its responses carry only the accusation set and
-        counters.  ``elapsed_seconds`` on every stacked result is the wall
-        clock of the whole batch call, not a per-item time.
+        A syndrome whose root search raises :class:`DiagnosisError` (or a
+        ``ValueError``) yields the *exception object* in its slot while the
+        rest of the stack proceeds.  Syndromes the kernel cannot take (no
+        compiled backend, a sharder, or a non-``ArraySyndrome``) run the
+        per-syndrome reference path.  ``elapsed_seconds`` on every stacked
+        result is the wall clock of the whole call.
         """
+        return self._diagnose_all(syndromes)
+
+    def _diagnose_all(self, syndromes: Sequence[Syndrome]) -> list:
+        """The one driver behind :meth:`diagnose` and :meth:`diagnose_many`."""
         from ..backend.array_syndrome import ArraySyndrome
 
         start_time = time.perf_counter()
         outcomes: list[DiagnosisResult | Exception | None] = [None] * len(syndromes)
-        stacked: list[int] = []
-        roots: list[int] = []
-        probe_records: list[list[ProbeRecord]] = []
-        levels: list[int | None] = []
-        lookups_before: list[int] = []
+        stacked: list[tuple[int, int, list[ProbeRecord], int | None, int]] = []
         for pos, syndrome in enumerate(syndromes):
-            if (self.csr is None or self.sharder is not None
-                    or not isinstance(syndrome, ArraySyndrome)
-                    or syndrome.csr is not self.csr):
-                try:
-                    outcomes[pos] = self.diagnose(syndrome)
-                except (DiagnosisError, ValueError) as exc:
-                    outcomes[pos] = exc
-                continue
             before = syndrome.lookups
             try:
-                root, probes, level = self.find_healthy_root(syndrome)
+                if (self.csr is None or self.sharder is not None
+                        or not isinstance(syndrome, ArraySyndrome)
+                        or syndrome.csr is not self.csr):
+                    outcomes[pos] = self._diagnose_one(syndrome)
+                else:
+                    stacked.append((pos, *self.find_healthy_root(syndrome), before))
             except (DiagnosisError, ValueError) as exc:
                 outcomes[pos] = exc
-                continue
-            stacked.append(pos)
-            roots.append(root)
-            probe_records.append(probes)
-            levels.append(level)
-            lookups_before.append(before)
+        if not stacked:
+            return outcomes
 
-        if stacked:
-            batch = [syndromes[pos] for pos in stacked]
-            finals = set_builder_many(
-                self.network, batch, roots,
-                diagnosability=self.delta, materialize=include_sets,
+        finals = set_builder_many(
+            self.network, [syndromes[pos] for pos, *_ in stacked],
+            [root for _, root, *_ in stacked], diagnosability=self.delta,
+        )
+        boundaries = self.csr.boundary_many([final.member_mask for final in finals])
+        elapsed = time.perf_counter() - start_time
+        for (pos, root, probes, level, before), final, faulty in zip(
+                stacked, finals, boundaries):
+            outcomes[pos] = DiagnosisResult(
+                faulty=frozenset(faulty),
+                healthy_root=root,
+                healthy_nodes=Later(mask_members, final.member_mask, frozenset),
+                tree_parent=Later(getattr, final, "parent"),
+                probes=probes,
+                partition_level=level,
+                lookups=syndromes[pos].lookups - before,
+                elapsed_seconds=elapsed,
+                member_mask=final.member_mask,
             )
-            boundaries = self.csr.boundary_many(
-                [final.member_mask for final in finals]
-            )
-            elapsed = time.perf_counter() - start_time
-            for k, pos in enumerate(stacked):
-                outcomes[pos] = DiagnosisResult(
-                    faulty=frozenset(boundaries[k]),
-                    healthy_root=roots[k],
-                    healthy_nodes=frozenset(finals[k].nodes),
-                    tree_parent=finals[k].parent,
-                    probes=probe_records[k],
-                    partition_level=levels[k],
-                    lookups=batch[k].lookups - lookups_before[k],
-                    elapsed_seconds=elapsed,
-                )
         return outcomes
 
-    def _boundary(self, healthy: set[int]) -> set[int]:
-        """Nodes adjacent to the healthy set but outside it (Theorem 1: the fault set)."""
+    def _diagnose_one(self, syndrome: Syndrome) -> DiagnosisResult:
+        """Per-syndrome reference run: the object, rows or sharded final run."""
+        start_time = time.perf_counter()
+        lookups_before = syndrome.lookups
+        root, probes, level = self.find_healthy_root(syndrome)
+        if self.sharder is not None:
+            final = self.sharder.run(syndrome, root, diagnosability=self.delta)
+        else:
+            final = set_builder(self.network, syndrome, root,
+                                diagnosability=self.delta, compiled=self.compiled)
+        return DiagnosisResult(
+            faulty=frozenset(self._boundary(final)),
+            healthy_root=root,
+            healthy_nodes=frozenset(final.nodes),
+            tree_parent=final.parent,
+            probes=probes,
+            partition_level=level,
+            lookups=syndrome.lookups - lookups_before,
+            elapsed_seconds=time.perf_counter() - start_time,
+            member_mask=final.member_mask,
+        )
+
+    def _boundary(self, final: SetBuilderResult) -> set[int]:
+        """Nodes adjacent to ``U_r`` but outside it (Theorem 1: the fault set)."""
         if self.csr is not None:
-            return self.csr.boundary(healthy)
-        boundary: set[int] = set()
-        network = self.network
-        for u in healthy:
-            for v in network.neighbors(u):
-                if v not in healthy:
-                    boundary.add(v)
-        return boundary
+            mask = final.member_mask
+            return self.csr.boundary(final.nodes if mask is None else mask)
+        healthy = final.nodes
+        return {v for u in healthy for v in self.network.neighbors(u) if v not in healthy}
 
 
 def diagnose(

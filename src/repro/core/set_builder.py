@@ -41,6 +41,11 @@ selects the fastest applicable implementation:
   ``network.neighbors`` per call — kept as the reference implementation the
   property tests and the backend benchmark compare against.
 
+The diagnosis driver's final run, for one syndrome or a batch, goes through
+:func:`set_builder_many` instead: the stacked rounds loop, native when a C
+compiler is available (:mod:`repro.core.native`), stacked numpy otherwise.
+Its results build ``nodes``, ``parent`` and ``contributors`` only when read.
+
 All paths implement the same procedure and produce identical results (and
 identical lookup counts) on non-truncated runs; under a ``max_nodes`` budget
 the identity of the truncated frontier may differ between paths because the
@@ -51,6 +56,7 @@ sorted rows.  The ``all_healthy`` certificate is sound on every path.
 from __future__ import annotations
 
 import ctypes
+import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -71,6 +77,28 @@ __all__ = [
     "set_builder_many",
     "certificate_node_budget",
 ]
+
+
+class Later(functools.partial):
+    """A field value built by calling it the first time the field is read."""
+
+
+class OnDemand:
+    """Dataclass field descriptor: a :class:`Later` value is built on first read."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)  # the field keeps no default
+        value = obj.__dict__[self.slot]
+        if isinstance(value, Later):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.slot] = value
 
 
 @dataclass
@@ -103,18 +131,20 @@ class SetBuilderResult:
 
     root: int
     all_healthy: bool
-    nodes: set[int]
-    parent: dict[int, int]
-    contributors: set[int]
+    nodes: set[int] = OnDemand()
+    parent: dict[int, int] = OnDemand()
+    contributors: set[int] = OnDemand()
     rounds: int
     lookups: int
     truncated: bool = False
-    #: boolean membership mask over all nodes (only set by the vectorised
-    #: path; lets the driver compute the boundary without rebuilding a mask)
+    #: boolean membership mask over all nodes (set by the whole-frontier
+    #: paths; lets the driver compute the boundary without rebuilding a mask)
     member_mask: object = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
+        if self.member_mask is not None:
+            return int(np.count_nonzero(self.member_mask))
         return len(self.nodes)
 
     def tree_edges(self) -> list[tuple[int, int]]:
@@ -770,36 +800,25 @@ def set_builder_many(
     roots: Sequence[int],
     *,
     diagnosability: int | None = None,
-    materialize: bool = True,
 ) -> list[SetBuilderResult]:
     """Run unrestricted ``Set_Builder`` for a whole stack of syndromes at once.
 
     One compiled topology, ``B`` syndromes, ``B`` start nodes: every round
     expands the *concatenation* of all still-active per-syndrome frontiers in
     a single array pass (membership and parents live in flattened ``(B, n)``
-    arrays keyed by ``syndrome * n + node``).  The batch amortises the
-    per-round call overhead *and* runs a leaner per-element pipeline than
-    the single-syndrome path (narrow index dtype, position-based candidate
-    compression, touched-key scoreboard resets — see :func:`_stacked_round`),
-    which is where the serving layer's batch throughput comes from on one
-    core.  Syndromes terminate independently — one that adds no nodes in a
-    round simply stops contributing candidates while the others keep
-    growing.
+    arrays keyed by ``syndrome * n + node``).  Syndromes terminate
+    independently.  The rounds run native when a C compiler is available,
+    else as :func:`_stacked_round`; at width 1 either beats the vectorised
+    single-syndrome path, so the diagnosis driver uses this for every final
+    run.
 
     Results are **bit-identical** per syndrome to
     :func:`_set_builder_array_vectorized` (grown set, parents, contributors,
     rounds, the certificate, and the consulted-entry count — which is also
     credited to each syndrome's ``lookups`` counter), pinned by the
-    differential suite.  Only unrestricted, unbudgeted runs are supported —
-    the final network-sized run of the diagnosis algorithm, which is the only
-    step worth batching.
-
-    ``materialize=False`` skips building the per-syndrome ``nodes`` /
-    ``parent`` / ``contributors`` Python collections (they come back empty);
-    ``member_mask``, ``rounds``, ``lookups`` and ``all_healthy`` are always
-    exact.  The serving path uses this: it needs only the mask (for the
-    boundary) and the counters, and per-syndrome dict/set construction would
-    otherwise cap the batch speedup.
+    differential suite.  Only unrestricted, unbudgeted runs are supported.
+    ``nodes``, ``parent`` and ``contributors`` are built from the member mask
+    and parent row only when read (:class:`OnDemand`).
     """
     from ..backend.array_syndrome import ArraySyndrome
 
@@ -911,25 +930,14 @@ def set_builder_many(
     parent2d = parent_flat.reshape(num_syndromes, n)
     results: list[SetBuilderResult] = []
     for b, syndrome in enumerate(syndromes):
-        if materialize:
-            owned = np.flatnonzero(member2d[b])
-            child = owned[parent2d[b][owned] >= 0]
-            parent_of = parent2d[b][child]
-            nodes = set(owned.tolist())
-            parent = dict(zip(child.tolist(), parent_of.tolist()))
-            contributors = (
-                set(np.unique(parent_of).tolist()) if child.size else set()
-            )
-        else:
-            nodes, parent, contributors = set(), {}, set()
         syndrome.lookups += int(lookups[b])
         results.append(
             SetBuilderResult(
                 root=int(roots[b]),
                 all_healthy=bool(contrib_count[b] > diagnosability),
-                nodes=nodes,
-                parent=parent,
-                contributors=contributors,
+                nodes=Later(mask_members, member2d[b]),
+                parent=Later(_tree_parent, parent2d[b]),
+                contributors=Later(_tree_contributors, parent2d[b]),
                 rounds=int(rounds[b]),
                 lookups=int(lookups[b]),
                 truncated=False,
@@ -937,3 +945,18 @@ def set_builder_many(
             )
         )
     return results
+
+
+def mask_members(mask: np.ndarray, kind: type = set):
+    """The nodes of a membership mask, as a ``kind`` (``set`` or ``frozenset``)."""
+    return kind(np.flatnonzero(mask).tolist())
+
+
+def _tree_parent(parent_row: np.ndarray) -> dict[int, int]:
+    """``t`` from a parent row (``-1`` marks the root and non-members)."""
+    child = np.flatnonzero(parent_row >= 0)
+    return dict(zip(child.tolist(), parent_row[child].tolist()))
+
+
+def _tree_contributors(parent_row: np.ndarray) -> set[int]:
+    return set(np.unique(parent_row[parent_row >= 0]).tolist())

@@ -150,7 +150,7 @@ def _run_requests(
         syndromes.append(syndrome)
         slots.append((pos, num_injected))
 
-    outcomes = diagnoser.diagnose_many(syndromes, include_sets=False)
+    outcomes = diagnoser.diagnose_many(syndromes)
     for (pos, num_injected), syndrome, outcome in zip(slots, syndromes, outcomes):
         request = requests[pos]
         digest = syndrome_digest(syndrome.buffer)

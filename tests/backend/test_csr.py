@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import CSRAdjacency, compile_network
 from repro.networks import ExplicitNetwork
@@ -110,6 +112,67 @@ class TestBoundary:
 
     def test_empty_members(self, q5):
         assert compile_network(q5).boundary(set()) == set()
+
+
+def _edge_pass_boundary(csr, mask) -> set[int]:
+    """Reference: the previous boundary, two gathers over every edge entry."""
+    edge_src = np.repeat(np.arange(csr.num_nodes), np.diff(csr.indptr))
+    hit = mask[edge_src] & ~mask[csr.indices]
+    out = np.zeros(csr.num_nodes, dtype=bool)
+    out[csr.indices[hit]] = True
+    return set(np.flatnonzero(out).tolist())
+
+
+@st.composite
+def _masks(draw):
+    """``(family, mask)``: random, empty, full, one-node or multi-component."""
+    family = draw(st.sampled_from(ALL_FAMILIES))
+    csr = compile_network(tiny_cached_network(family, "tiny"))
+    n = csr.num_nodes
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(("random", "empty", "full", "single", "split")))
+    if shape == "random":
+        return family, rng.random(n) < draw(st.floats(0.0, 1.0))
+    if shape == "empty":
+        return family, np.zeros(n, dtype=bool)
+    if shape == "full":
+        return family, np.ones(n, dtype=bool)
+    mask = np.zeros(n, dtype=bool)
+    if shape == "single":
+        mask[rng.integers(n)] = True
+        return family, mask
+    # Cut a few nodes off from the rest by removing their neighbourhoods:
+    # each cut-off node is a component of its own.
+    mask[:] = True
+    for v in rng.choice(n, size=draw(st.integers(1, 4)), replace=False):
+        if mask[v]:
+            mask[csr.neighbors(v)] = False
+    return family, mask
+
+
+class TestComplementBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(_masks())
+    def test_equals_edge_pass(self, case):
+        family, mask = case
+        csr = compile_network(tiny_cached_network(family, "tiny"))
+        expected = _edge_pass_boundary(csr, mask)
+        assert csr.boundary(mask) == expected
+        assert csr.boundary(np.flatnonzero(mask).tolist()) == expected
+        assert csr.boundary_many(np.stack([mask, ~mask])) == [
+            expected, _edge_pass_boundary(csr, ~mask)
+        ]
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_split_masks_really_split(self, family):
+        """The multi-component case is not vacuous: node 0 is cut off from
+        the other members, and the boundary is exactly its neighbourhood."""
+        csr = compile_network(tiny_cached_network(family, "tiny"))
+        mask = np.ones(csr.num_nodes, dtype=bool)
+        mask[csr.neighbors(0)] = False
+        assert mask[0] and mask.sum() > 1
+        expected = set(csr.neighbors(0).tolist())
+        assert csr.boundary(mask) == _edge_pass_boundary(csr, mask) == expected
 
 
 class TestValidation:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.core.diagnosis import DiagnosisError, GeneralDiagnoser, diagnose
@@ -127,6 +129,23 @@ class TestDiagnosisResult:
         syndrome = generate_syndrome(cube, faults, seed=0)
         result = diagnose(cube, syndrome)
         assert "3 faults" in result.summary()
+
+    def test_summary_reads_the_mask_not_the_set(self, monkeypatch):
+        """``summary()`` reports ``|U_r|`` without building ``healthy_nodes``."""
+        module = importlib.import_module("repro.core.diagnosis")
+        built = []
+        members = module.mask_members
+        monkeypatch.setattr(
+            module, "mask_members", lambda *args: built.append(1) or members(*args)
+        )
+        cube = Hypercube(7)
+        faults = random_faults(cube, 3, seed=0)
+        syndrome = generate_syndrome(cube, faults, seed=0, backend="array")
+        result = diagnose(cube, syndrome)
+        summary = result.summary()
+        assert built == []
+        assert f"|U_r|={len(result.healthy_nodes)}," in summary
+        assert built == [1]
 
     def test_partition_level_reported(self):
         cube = Hypercube(8)

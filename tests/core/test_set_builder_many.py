@@ -3,10 +3,12 @@
 The exhaustive cross-family agreement checks live in
 ``tests/differential/test_stacked_kernel.py``; this module pins the kernel's
 contract edges — input validation, width 0/1, duplicate syndromes in one
-batch, the ``materialize=False`` light mode, and ``boundary_many``.
+batch, the sets built on demand, and ``boundary_many``.
 """
 
 from __future__ import annotations
+
+import importlib
 
 import numpy as np
 import pytest
@@ -84,18 +86,36 @@ class TestAgreement:
             assert _signature(result) == _signature(reference)
 
 
-class TestLightMode:
-    def test_materialize_false_keeps_mask_and_counters(self, q5):
+class TestDeferredSets:
+    def test_sets_are_built_on_first_read_and_equal_eager_ones(self, q5, monkeypatch):
+        """``nodes``/``parent``/``contributors`` stay unbuilt until read; once
+        read they equal the eagerly built sets of the vectorised path."""
+        module = importlib.import_module("repro.core.set_builder")
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            wrapper.__name__ = fn.__name__
+            return wrapper
+
+        for name in ("mask_members", "_tree_parent", "_tree_contributors"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         reference = set_builder(q5, _syndrome(q5, 11), 0)
-        [light] = set_builder_many(
-            q5, [_syndrome(q5, 11)], [0], materialize=False
-        )
-        assert light.nodes == set() and light.parent == {}
-        assert light.contributors == set()
-        assert np.array_equal(light.member_mask, reference.member_mask)
-        assert light.rounds == reference.rounds
-        assert light.lookups == reference.lookups
-        assert light.all_healthy == reference.all_healthy
+        [deferred] = set_builder_many(q5, [_syndrome(q5, 11)], [0])
+        assert deferred.rounds == reference.rounds
+        assert deferred.lookups == reference.lookups
+        assert deferred.all_healthy == reference.all_healthy
+        assert deferred.size == reference.size
+        assert calls == []
+        assert deferred.nodes == reference.nodes
+        assert deferred.parent == reference.parent
+        assert deferred.contributors == reference.contributors
+        assert calls == ["mask_members", "_tree_parent", "_tree_contributors"]
+        assert deferred.nodes is deferred.nodes  # built once, then kept
+        assert len(calls) == 3
+        assert _signature(deferred) == _signature(reference)
 
 
 class TestBoundaryMany:

@@ -121,27 +121,6 @@ class TestStackedKernelDifferential:
             if layout[i] is None:
                 assert isinstance(outcome, DiagnosisError)
 
-    def test_light_mode_matches_on_accusations_and_counters(self, tiny_network):
-        csr = compile_network(tiny_network)
-        diagnoser = GeneralDiagnoser(tiny_network)
-        specs = _specs(tiny_network, 4)
-        references = [_reference(diagnoser, spec, csr) for spec in specs]
-        outcomes = diagnoser.diagnose_many(
-            [_build(csr, spec) for spec in specs], include_sets=False
-        )
-        for outcome, reference in zip(outcomes, references):
-            if reference[0] == "error":  # a seeded spec that genuinely fails
-                assert _outcome_signature(outcome) == reference
-                continue
-            faulty, root, _, _, probes, level, lookups = reference
-            assert outcome.faulty == faulty
-            assert outcome.healthy_root == root
-            assert list(outcome.probes) == probes
-            assert outcome.partition_level == level
-            assert outcome.lookups == lookups
-            assert outcome.healthy_nodes == frozenset()
-            assert outcome.tree_parent == {}
-
 
 class TestSlicingParity:
     def test_batches_wider_than_max_batch_slice_without_divergence(self):
