@@ -10,12 +10,13 @@ Two modes:
   the 12/14-cube legacy-vs-compiled head-to-head, the compiled-only frontier
   (Q_16 and Q_18 — the legacy dict-table path is too slow to field there,
   which is itself the datum), the k-ary and star family rows, the distributed
-  engine overhead, and the shared-memory sharded-sweep comparison (serial vs
-  worker pool vs the old per-worker-recompilation fan-out).  A reduced run
+  engine overhead, and the shared-memory pooled-sweep comparison
+  (``sharded_sweep``: serial vs worker pool vs the old
+  per-worker-recompilation fan-out).  A reduced run
   (every dimension below 14, e.g. ``bench_backend.py 12``) checks the 5×
   target through its exit code and leaves ``BENCH_e1.json`` unchanged.
 
-The sharded sweep is measured *first* and its recompilation baseline runs
+The pooled sweep is measured *first* and its recompilation baseline runs
 before the coordinator ever compiles the topology: workers are forked, so a
 parent-side compile would be inherited and silently hide the recompilation
 cost being measured.
@@ -71,20 +72,6 @@ def test_array_syndrome_generation(benchmark):
 
     syndrome = benchmark(ArraySyndrome.from_faults, csr, faults, seed=12)
     assert len(syndrome) == csr.num_pairs
-
-
-def test_sharded_diagnosis(benchmark):
-    from repro.parallel import ShardedSetBuilder
-
-    cube, faults, syndrome = _instance("array")
-    sharder = ShardedSetBuilder(cube, num_shards=4)
-    diagnoser = GeneralDiagnoser(cube, sharder=sharder)
-
-    result = benchmark(diagnoser.diagnose, syndrome)
-
-    assert result.faulty == faults
-    benchmark.extra_info["experiment"] = "E1-sharded"
-    benchmark.extra_info["path"] = "sharded-4"
 
 
 def test_distributed_engine_run(benchmark):
@@ -239,7 +226,7 @@ def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
     request = DiagnosisRequest(family="hypercube", params=params)
     with WorkerPool(max_workers=1) as pool:
         publish_start = time.perf_counter()
-        topology_handle = pool.publish_topology(csr, include_pair_members=True)
+        topology_handle = pool.publish_topology(csr)
         syndrome_handle = pool.publish_buffer(syndrome.values_array)
         publish_s = time.perf_counter() - publish_start
         task_start = time.perf_counter()

@@ -153,19 +153,10 @@ class GeneralDiagnoser:
         construction; every ``Set_Builder`` run and the final boundary
         computation then operate on the compiled arrays; the final run of
         both :meth:`diagnose` and :meth:`diagnose_many` is the batched kernel
-        :func:`~repro.core.set_builder.set_builder_many`.  ``False`` selects
-        the original object-based reference path.
-    sharder:
-        Optional :class:`~repro.parallel.sharded.ShardedSetBuilder` over the
-        same topology.  When given, the *final* unrestricted ``Set_Builder``
-        run — the only network-sized step of the algorithm — executes sharded
-        (optionally across a worker pool); the probe search stays sequential
-        because restricted probes never leave one partition class, i.e. one
-        shard.  The sharded run is property-tested equal to the sequential
-        one, so the diagnosis is unchanged — only its execution is
-        distributed.  Requires ``compiled=True`` and an
-        :class:`~repro.backend.array_syndrome.ArraySyndrome` over this
-        network's compiled topology.
+        :func:`~repro.core.set_builder.set_builder_many` for an
+        :class:`~repro.backend.array_syndrome.ArraySyndrome` over that
+        topology.  ``False`` selects the original object-based reference
+        path.
     """
 
     def __init__(
@@ -177,7 +168,6 @@ class GeneralDiagnoser:
         use_partition: bool = True,
         fallback_probe_budget: int | None = None,
         compiled: bool = True,
-        sharder=None,
     ) -> None:
         self.network = network
         self.delta = network.diagnosability() if diagnosability is None else int(diagnosability)
@@ -188,14 +178,6 @@ class GeneralDiagnoser:
         self.fallback_probe_budget = fallback_probe_budget
         self.compiled = compiled
         self.csr = compile_network(network) if compiled else None
-        if sharder is not None:
-            if not compiled:
-                raise ValueError("sharded final runs require the compiled backend")
-            if sharder.csr is not self.csr:
-                raise ValueError(
-                    "the sharder must be built over this network's compiled topology"
-                )
-        self.sharder = sharder
 
     # ----------------------------------------------------------- root search
     def find_healthy_root(
@@ -334,7 +316,7 @@ class GeneralDiagnoser:
         A syndrome whose root search raises :class:`DiagnosisError` (or a
         ``ValueError``) yields the *exception object* in its slot while the
         rest of the stack proceeds.  Syndromes the kernel cannot take (no
-        compiled backend, a sharder, or a non-``ArraySyndrome``) run the
+        compiled backend, or a non-``ArraySyndrome``) run the
         per-syndrome reference path.  ``elapsed_seconds`` on every stacked
         result is the wall clock of the whole call.
         """
@@ -350,7 +332,7 @@ class GeneralDiagnoser:
         for pos, syndrome in enumerate(syndromes):
             before = syndrome.lookups
             try:
-                if (self.csr is None or self.sharder is not None
+                if (self.csr is None
                         or not isinstance(syndrome, ArraySyndrome)
                         or syndrome.csr is not self.csr):
                     outcomes[pos] = self._diagnose_one(syndrome)
@@ -383,15 +365,12 @@ class GeneralDiagnoser:
         return outcomes
 
     def _diagnose_one(self, syndrome: Syndrome) -> DiagnosisResult:
-        """Per-syndrome reference run: the object, rows or sharded final run."""
+        """Per-syndrome reference run: the object or rows final run."""
         start_time = time.perf_counter()
         lookups_before = syndrome.lookups
         root, probes, level = self.find_healthy_root(syndrome)
-        if self.sharder is not None:
-            final = self.sharder.run(syndrome, root, diagnosability=self.delta)
-        else:
-            final = set_builder(self.network, syndrome, root,
-                                diagnosability=self.delta, compiled=self.compiled)
+        final = set_builder(self.network, syndrome, root,
+                            diagnosability=self.delta, compiled=self.compiled)
         return DiagnosisResult(
             faulty=frozenset(self._boundary(final)),
             healthy_root=root,
@@ -401,15 +380,13 @@ class GeneralDiagnoser:
             partition_level=level,
             lookups=syndrome.lookups - lookups_before,
             elapsed_seconds=time.perf_counter() - start_time,
-            member_mask=final.member_mask,
         )
 
     def _boundary(self, final: SetBuilderResult) -> set[int]:
         """Nodes adjacent to ``U_r`` but outside it (Theorem 1: the fault set)."""
-        if self.csr is not None:
-            mask = final.member_mask
-            return self.csr.boundary(final.nodes if mask is None else mask)
         healthy = final.nodes
+        if self.csr is not None:
+            return self.csr.boundary(healthy)
         return {v for u in healthy for v in self.network.neighbors(u) if v not in healthy}
 
 

@@ -409,7 +409,7 @@ def _run_plan_chunked(
                 # Workers generate their chunks' syndromes, so ship the
                 # pair-member arrays too — the delta proves nobody rebuilds
                 # them per worker.
-                handle = pool.publish_topology(csr, include_pair_members=True)
+                handle = pool.publish_topology(csr)
                 stats["topologies_published"] += 1
             size = chunk_size or _chunk_size(len(group), pool.max_workers)
             for chunk in _chunked(group, size):

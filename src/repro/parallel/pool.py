@@ -14,9 +14,9 @@ The pool owns every segment it publishes and unlinks them all on
 collected — see :class:`~repro.parallel.shm.OwnedSegment`), so a crashed or
 abandoned run leaves no segments behind.
 
-Task functions live with their callers (the shard-expansion task in
-:mod:`repro.parallel.sharded`, the trial-chunk tasks in
-:mod:`repro.experiments.trials`); this module only provides the pool, the
+Task functions live with their callers (the trial-chunk tasks in
+:mod:`repro.experiments.trials`, the batch task in
+:mod:`repro.service.executor`); this module only provides the pool, the
 worker-side attachment caches (:func:`worker_topology`,
 :func:`worker_buffer`) and :func:`worker_health` — the per-task diagnostics
 proving the zero-recompilation claim.
@@ -105,6 +105,15 @@ class WorkerPool:
     def shutdown(self, *, wait: bool = True) -> None:
         """Stop the workers and unlink every segment this pool published."""
         if self._executor is not None:
+            # A worker killed while idle can die holding the task queue's read
+            # lock.  If shutdown wakes the executor before it notices the
+            # death, it takes the clean path and waits forever for survivors
+            # that can never read their stop sentinel; stop them here instead,
+            # as the executor's own broken-pool path would.
+            workers = list(self._executor._processes.values())
+            if any(not worker.is_alive() for worker in workers):
+                for worker in workers:
+                    worker.terminate()
             self._executor.shutdown(wait=wait)
             self._executor = None
         for segment in self._segments.values():
@@ -113,28 +122,18 @@ class WorkerPool:
         self._topologies.clear()
 
     # ------------------------------------------------------------ publishing
-    def publish_topology(
-        self, topology, *, include_pair_members: bool = False
-    ) -> TopologyHandle:
-        """Place a compiled topology in shared memory (memoized per object).
+    def publish_topology(self, topology) -> TopologyHandle:
+        """Place a compiled topology, pair members included, in shared memory.
 
         Accepts a network or a :class:`CSRAdjacency`; the same object is
         published at most once per pool, so every group of a sweep that runs
-        on the same memoized instance shares one segment.  Asking for pair
-        members after a plain publication publishes a fresh segment that
-        includes them — the plain segment stays alive until shutdown, because
-        handles already handed to in-flight tasks must keep resolving — and
-        asking without them reuses a pair-carrying segment (a superset).
+        on the same memoized instance shares one segment.
         """
         csr = compile_network(topology)
         cached = self._topologies.get(id(csr))
         if cached is not None:
-            handle = cached[1]
-            if not include_pair_members or handle.num_pairs:
-                return handle
-        handle, segment = publish_topology(
-            csr, include_pair_members=include_pair_members
-        )
+            return cached[1]
+        handle, segment = publish_topology(csr)
         self._segments[handle.name] = segment
         self._topologies[id(csr)] = (csr, handle)
         return handle
@@ -159,15 +158,6 @@ class WorkerPool:
         handle, segment = publish_buffer(data)
         self._segments[handle.name] = segment
         return handle
-
-    def allocate_buffer(self, size: int) -> tuple[BufferHandle, np.ndarray]:
-        """A zero-filled tracked segment plus the owner's writable view."""
-        from .shm import allocate_buffer
-
-        handle, segment = allocate_buffer(size)
-        self._segments[handle.name] = segment
-        view = np.frombuffer(segment.buf, dtype=np.uint8, count=size)
-        return handle, view
 
     def release(self, handle: TopologyHandle | BufferHandle) -> None:
         """Unlink one published segment before shutdown (per-run buffers)."""
@@ -219,7 +209,7 @@ def _try_unmap(segment: shared_memory.SharedMemory) -> bool:
     detach(segment)  # already closed: this just drops the registry pin
     return True
 
-#: Attached transient buffers (syndromes, membership masks), keyed by segment
+#: Attached transient buffers (explicit syndromes), keyed by segment
 #: name.  Per-run buffers get fresh names, so the cache is bounded FIFO; the
 #: mapping object rides along with the view to keep it alive.
 _BUFFER_CACHE: "OrderedDict[str, tuple[np.ndarray, shared_memory.SharedMemory]]" = (

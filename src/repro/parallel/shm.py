@@ -11,14 +11,14 @@ places them in :mod:`multiprocessing.shared_memory` **once** and workers map
 them zero-copy:
 
 * :func:`publish_topology` serialises a compiled CSR into one segment
-  (``indptr`` as ``int64`` followed by ``indices`` as ``int32``) and returns a
-  small picklable :class:`TopologyHandle`;
+  (``indptr`` as ``int64``, ``indices`` and the three pair-member arrays as
+  ``int32``) and returns a small picklable :class:`TopologyHandle`;
 * :func:`attach_topology` reconstructs a :class:`CSRAdjacency` in the worker
   whose arrays are *views* over the mapped segment — no copy, no walk of the
   topology, and the derived pair layout (an ``N``-element cumsum) is the only
   per-worker work;
 * :func:`publish_buffer` / :func:`attach_buffer` do the same for raw byte
-  buffers (syndrome results, shard membership masks).
+  buffers (explicit syndromes).
 
 Ownership and cleanup
 ---------------------
@@ -57,7 +57,6 @@ __all__ = [
     "attach_topology",
     "publish_buffer",
     "attach_buffer",
-    "allocate_buffer",
 ]
 
 _INT64 = np.dtype(np.int64)
@@ -68,16 +67,16 @@ _INT32 = np.dtype(np.int32)
 class TopologyHandle:
     """Picklable reference to a compiled topology placed in shared memory.
 
-    ``num_pairs`` is nonzero when the publisher also shipped the pair-member
-    arrays (the ``(tester, left, right)`` triple behind vectorised syndrome
-    generation); attachers then view them out of the same segment instead of
-    re-materialising three ``num_pairs``-sized arrays per worker.
+    ``num_pairs`` is the length of each shipped pair-member array (the
+    ``(tester, left, right)`` triple behind vectorised syndrome generation);
+    attachers view them out of the same segment instead of re-materialising
+    three ``num_pairs``-sized arrays per worker.
     """
 
     name: str
     num_nodes: int
     num_entries: int
-    num_pairs: int = 0
+    num_pairs: int
 
 
 @dataclass(frozen=True)
@@ -180,24 +179,20 @@ def detach(segment: shared_memory.SharedMemory) -> None:
 
 
 # ------------------------------------------------------------------- topology
-def publish_topology(
-    csr: CSRAdjacency, *, include_pair_members: bool = False
-) -> tuple[TopologyHandle, OwnedSegment]:
+def publish_topology(csr: CSRAdjacency) -> tuple[TopologyHandle, OwnedSegment]:
     """Place a compiled CSR adjacency into one shared-memory segment.
 
-    Layout: ``indptr`` (``int64``, ``N + 1`` entries) followed by ``indices``
-    (``int32``, ``E`` entries); with ``include_pair_members`` the three
-    pair-member arrays (``int32``, ``num_pairs`` entries each) follow.  The
-    pair *layout* (``pair_indptr``) is never stored — attachers re-derive it
-    with one cheap cumsum in :class:`CSRAdjacency.__init__`.
-
-    Pair members cost 12 bytes per comparison test, so they are opt-in:
-    workloads whose workers generate syndromes (the diagnosis service, trial
-    sweeps) ship them; shard expansion, which only reads syndromes, does not.
+    Layout: ``indptr`` (``int64``, ``N + 1`` entries), then ``indices``
+    (``int32``, ``E`` entries), then the three pair-member arrays (``int32``,
+    ``num_pairs`` entries each).  Every pool task that generates syndromes
+    (the diagnosis service, trial sweeps) reads the pair members, so they are
+    always shipped.  The pair *layout* (``pair_indptr``) is never stored —
+    attachers re-derive it with one cheap cumsum in
+    :class:`CSRAdjacency.__init__`.
     """
     indptr_bytes = (csr.num_nodes + 1) * _INT64.itemsize
     indices_bytes = csr.num_entries * _INT32.itemsize
-    num_pairs = csr.num_pairs if include_pair_members else 0
+    num_pairs = csr.num_pairs
     pairs_bytes = 3 * num_pairs * _INT32.itemsize
     segment = shared_memory.SharedMemory(
         create=True, size=max(1, indptr_bytes + indices_bytes + pairs_bytes)
@@ -209,14 +204,11 @@ def publish_topology(
         segment.buf, dtype=_INT32, count=csr.num_entries, offset=indptr_bytes
     )
     indices_view[:] = csr.indices
-    if include_pair_members:
-        offset = indptr_bytes + indices_bytes
-        for members in csr.pair_members():
-            view = np.frombuffer(
-                segment.buf, dtype=_INT32, count=num_pairs, offset=offset
-            )
-            view[:] = members
-            offset += num_pairs * _INT32.itemsize
+    offset = indptr_bytes + indices_bytes
+    for members in csr.pair_members():
+        view = np.frombuffer(segment.buf, dtype=_INT32, count=num_pairs, offset=offset)
+        view[:] = members
+        offset += num_pairs * _INT32.itemsize
     handle = TopologyHandle(
         name=segment.name,
         num_nodes=csr.num_nodes,
@@ -231,9 +223,9 @@ def attach_topology(handle: TopologyHandle) -> CSRAdjacency:
 
     The returned object keeps the :class:`SharedMemory` mapping alive via the
     ``_shm`` attribute for as long as the CSR (and any array views handed out
-    from it) is referenced.  When the publisher shipped pair members, they are
-    pre-seeded as views too, so ``pair_members()`` never materialises its
-    arrays in the attaching process (``pair_build_count`` stays flat).
+    from it) is referenced.  The shipped pair members are pre-seeded as views
+    too, so ``pair_members()`` never materialises its arrays in the attaching
+    process (``pair_build_count`` stays flat).
     """
     segment = attach(handle.name)
     indptr_bytes = (handle.num_nodes + 1) * _INT64.itemsize
@@ -264,20 +256,12 @@ def attach_topology(handle: TopologyHandle) -> CSRAdjacency:
 
 # -------------------------------------------------------------------- buffers
 def publish_buffer(data) -> tuple[BufferHandle, OwnedSegment]:
-    """Place a bytes-like object (syndrome buffer, mask) into shared memory."""
+    """Place a bytes-like object (a syndrome buffer) into shared memory."""
     view = memoryview(data).cast("B")
     size = view.nbytes
     segment = shared_memory.SharedMemory(create=True, size=max(1, size))
     owned = OwnedSegment(segment)
     segment.buf[:size] = view
-    return BufferHandle(name=segment.name, size=size), owned
-
-
-def allocate_buffer(size: int) -> tuple[BufferHandle, OwnedSegment]:
-    """Create a zero-filled shared buffer the owner will write incrementally."""
-    segment = shared_memory.SharedMemory(create=True, size=max(1, size))
-    owned = OwnedSegment(segment)
-    segment.buf[:size] = bytes(size)
     return BufferHandle(name=segment.name, size=size), owned
 
 

@@ -489,7 +489,7 @@ class DiagnosisService:
             elif self.pool is not None:
                 network, csr = await self._resolved_topology(topology, requests[0])
                 dispatch_time = loop.time()
-                handle = self.pool.publish_topology(csr, include_pair_members=True)
+                handle = self.pool.publish_topology(csr)
                 # Explicit syndromes ship through shared memory, not pickle:
                 # concatenate their buffers into one published segment and
                 # send (position, offset, size) spans; the wire requests are

@@ -104,11 +104,14 @@ class TestSyndromeApi:
 
 
 class TestFastPathEquivalence:
-    """Compiled (rows/array/vectorised) paths replicate the object path."""
+    """Compiled (rows/array/kernel) paths replicate the object path."""
 
     @pytest.mark.parametrize("family", ["hypercube", "star", "pancake", "kary_ncube"])
     @pytest.mark.parametrize("placement", [random_faults, clustered_faults])
-    def test_set_builder_equivalence(self, family, placement):
+    @pytest.mark.parametrize("stop_on_certificate", [False, True])
+    def test_set_builder_equivalence(self, family, placement, stop_on_certificate):
+        """Unrestricted runs to the fixpoint take the batched kernel; early-exit
+        runs (the unbudgeted fallback probe) take the scalar array path."""
         network = cached_network(family, "tiny")
         delta = network.diagnosability()
         for seed in range(3):
@@ -116,10 +119,13 @@ class TestFastPathEquivalence:
             table = generate_syndrome(network, faults, seed=seed, full_table=True)
             array = generate_syndrome(network, faults, seed=seed, backend="array")
             for root in (0, network.num_nodes // 2):
-                reference = set_builder(network, table, root,
-                                        diagnosability=delta, compiled=False)
-                rows = set_builder(network, table, root, diagnosability=delta)
-                fast = set_builder(network, array, root, diagnosability=delta)
+                reference = set_builder(network, table, root, diagnosability=delta,
+                                        stop_on_certificate=stop_on_certificate,
+                                        compiled=False)
+                rows = set_builder(network, table, root, diagnosability=delta,
+                                   stop_on_certificate=stop_on_certificate)
+                fast = set_builder(network, array, root, diagnosability=delta,
+                                   stop_on_certificate=stop_on_certificate)
                 for result in (rows, fast):
                     assert result.nodes == reference.nodes
                     assert result.parent == reference.parent
@@ -127,6 +133,7 @@ class TestFastPathEquivalence:
                     assert result.rounds == reference.rounds
                     assert result.all_healthy == reference.all_healthy
                     assert result.lookups == reference.lookups
+                    assert result.truncated == reference.truncated
 
     def test_restricted_and_budgeted_array_path(self, q7):
         delta = q7.diagnosability()

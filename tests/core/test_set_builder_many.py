@@ -25,6 +25,12 @@ def _syndrome(network, seed: int) -> ArraySyndrome:
     return ArraySyndrome.from_faults(csr, faults, seed=seed)
 
 
+def _reference(network, seed: int, root: int):
+    """The oracle: the object path over the same syndrome as a dict table."""
+    return set_builder(network, _syndrome(network, seed).to_table(), root,
+                       compiled=False)
+
+
 def _signature(result):
     return (
         result.root,
@@ -61,16 +67,16 @@ class TestInputValidation:
 
 
 class TestAgreement:
-    def test_width_one_matches_vectorized_path(self, q5):
-        reference = set_builder(q5, _syndrome(q5, 3), 0)
+    def test_width_one_matches_object_path(self, q5):
+        reference = _reference(q5, 3, 0)
         [stacked] = set_builder_many(q5, [_syndrome(q5, 3)], [0])
         assert _signature(stacked) == _signature(reference)
-        assert np.array_equal(stacked.member_mask, reference.member_mask)
+        assert set(np.flatnonzero(stacked.member_mask).tolist()) == reference.nodes
 
     def test_duplicate_syndromes_in_one_batch(self, q5):
         """The same syndrome object twice: both rows agree, lookups add up."""
         syndrome = _syndrome(q5, 5)
-        reference = set_builder(q5, _syndrome(q5, 5), 0)
+        reference = _reference(q5, 5, 0)
         first, second = set_builder_many(q5, [syndrome, syndrome], [0, 0])
         assert _signature(first) == _signature(reference)
         assert _signature(second) == _signature(reference)
@@ -82,14 +88,14 @@ class TestAgreement:
         roots = [0, 9, 21]
         stacked = set_builder_many(q5, buffers, roots)
         for root, result in zip(roots, stacked):
-            reference = set_builder(q5, _syndrome(q5, 7), root)
+            reference = _reference(q5, 7, root)
             assert _signature(result) == _signature(reference)
 
 
 class TestDeferredSets:
     def test_sets_are_built_on_first_read_and_equal_eager_ones(self, q5, monkeypatch):
         """``nodes``/``parent``/``contributors`` stay unbuilt until read; once
-        read they equal the eagerly built sets of the vectorised path."""
+        read they equal the eagerly built sets of the object path."""
         module = importlib.import_module("repro.core.set_builder")
         calls = []
 
@@ -102,7 +108,7 @@ class TestDeferredSets:
 
         for name in ("mask_members", "_tree_parent", "_tree_contributors"):
             monkeypatch.setattr(module, name, counted(getattr(module, name)))
-        reference = set_builder(q5, _syndrome(q5, 11), 0)
+        reference = _reference(q5, 11, 0)
         [deferred] = set_builder_many(q5, [_syndrome(q5, 11)], [0])
         assert deferred.rounds == reference.rounds
         assert deferred.lookups == reference.lookups
@@ -172,7 +178,7 @@ class TestZeroCopyAdoption:
 
     def test_adopted_buffer_diagnoses_identically(self, q5):
         csr = compile_network(q5)
-        reference = set_builder(q5, _syndrome(q5, 4), 0)
+        reference = _reference(q5, 4, 0)
         adopted = ArraySyndrome(
             csr, _syndrome(q5, 4).values_array.copy(), copy=False
         )

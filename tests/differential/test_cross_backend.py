@@ -8,10 +8,8 @@ procedure through every execution backend the codebase has grown:
   implementation, transcribed from the paper);
 * the compiled-rows path (compiled adjacency, abstract syndrome oracle);
 * the scalar flat-array path (byte-mask membership, pair-indexed buffer);
-* the vectorised whole-frontier path;
-* the shard-aware builder (:class:`repro.parallel.ShardedSetBuilder`) at
-  shard counts 1, 2 and 4 — in-process and, for a spot check, over a real
-  shared-memory worker pool.
+* the batched kernel (``set_builder_many`` at width 1), once with the native
+  rounds loop and once with its numpy fallback (``native._forced_off``).
 
 Every backend must agree **exactly** — grown sets, tree parents,
 contributors, round counts, the ``all_healthy`` certificate, the syndrome
@@ -33,12 +31,12 @@ import pytest
 
 from repro.backend.array_syndrome import ArraySyndrome
 from repro.backend.csr import compile_network
+from repro.core import native
 from repro.core.diagnosis import GeneralDiagnoser
 from repro.core.faults import clustered_faults, random_faults
 from repro.core.set_builder import SetBuilderResult, set_builder
-from repro.parallel import ShardedSetBuilder, WorkerPool, spawn_seeds
+from repro.parallel import spawn_seeds
 
-SHARD_COUNTS = (1, 2, 4)
 BEHAVIORS = ("random", "all_zero")
 
 
@@ -98,18 +96,23 @@ def _all_backends(network, syndrome: ArraySyndrome, root: int) -> dict[str, dict
         "array-scalar": set_builder(
             network, syndrome, root, max_nodes=network.num_nodes + 1
         ),
-        "array-vectorized": set_builder(network, syndrome, root),
+        "array-kernel": set_builder(network, syndrome, root),
     }
-    for shards in SHARD_COUNTS:
-        runs[f"sharded-{shards}"] = ShardedSetBuilder(
-            network, num_shards=shards
-        ).run(syndrome, root)
     return {name: _signature(network, result) for name, result in runs.items()}
 
 
 class TestSetBuilderDifferential:
-    def test_every_backend_agrees_on_every_family(self, tiny_network):
-        """The harness headline: 7 backends, all registry families, seeded triples."""
+    @pytest.mark.parametrize("kernel", ["native", "numpy"])
+    def test_every_backend_agrees_on_every_family(
+        self, tiny_network, kernel, monkeypatch
+    ):
+        """The harness headline: 4 backends, all registry families, seeded triples.
+
+        Runs once per half of the fast path: the native rounds loop (where a
+        C compiler is available) and its numpy fallback (= REPRO_NO_NATIVE).
+        """
+        if kernel == "numpy":
+            monkeypatch.setattr(native, "_forced_off", True)
         checked = 0
         for faults, syndrome in _triples(tiny_network):
             for root in _roots(tiny_network, faults):
@@ -123,7 +126,7 @@ class TestSetBuilderDifferential:
                 checked += 1
         assert checked >= 8  # 2 seeds x 2 behaviors x 2 placements (x roots)
 
-    def test_sharded_matches_vectorized_on_a_larger_instance(self):
+    def test_kernel_matches_object_path_on_a_larger_instance(self):
         """Spot check well beyond tiny sizes (Q_10: 1024 nodes, 45 rounds-ish)."""
         from repro.networks.registry import compiled_network
 
@@ -131,61 +134,13 @@ class TestSetBuilderDifferential:
         faults = random_faults(network, 10, seed=1234)
         syndrome = ArraySyndrome.from_faults(csr, faults, seed=1234)
         root = next(v for v in range(network.num_nodes) if v not in faults)
-        reference = _signature(network, set_builder(network, syndrome, root))
-        for shards in SHARD_COUNTS:
-            sharded = ShardedSetBuilder(network, num_shards=shards).run(syndrome, root)
-            assert _signature(network, sharded) == reference
-
-    def test_pooled_shards_match_in_process_shards(self):
-        """The pool changes where shards run, never what they compute."""
-        from repro.networks.registry import compiled_network
-
-        network, csr = compiled_network("hypercube", dimension=8)
-        with WorkerPool(max_workers=2) as pool:
-            for seed in spawn_seeds(88, 2):
-                faults = random_faults(network, 8, seed=seed)
-                syndrome = ArraySyndrome.from_faults(csr, faults, seed=seed)
-                root = next(v for v in range(network.num_nodes) if v not in faults)
-                local = ShardedSetBuilder(network, num_shards=4).run(syndrome, root)
-                pooled = ShardedSetBuilder(
-                    network, num_shards=4, pool=pool
-                ).run(syndrome, root)
-                assert _signature(network, pooled) == _signature(network, local)
+        reference = set_builder(network, syndrome.to_table(), root, compiled=False)
+        kernel = set_builder(network, syndrome, root)
+        assert _signature(network, kernel) == _signature(network, reference)
 
 
 class TestDiagnosisDifferential:
     """Full-pipeline agreement: the accusation sets of whole diagnoses."""
-
-    def test_sharded_final_run_preserves_the_diagnosis(self, tiny_network):
-        from repro.core.diagnosis import DiagnosisError
-
-        csr = compile_network(tiny_network)
-        delta = tiny_network.diagnosability()
-        for seed in _family_seeds(tiny_network):
-            faults = random_faults(tiny_network, delta, seed=seed)
-            syndrome = ArraySyndrome.from_faults(csr, faults, seed=seed)
-            try:
-                plain = GeneralDiagnoser(tiny_network).diagnose(syndrome)
-            except DiagnosisError:
-                # A full-δ fault load can overwhelm a tiny instance (the
-                # healthy component shrinks below any certificate); backends
-                # must then agree on the *failure* too.
-                for shards in SHARD_COUNTS:
-                    sharder = ShardedSetBuilder(tiny_network, num_shards=shards)
-                    with pytest.raises(DiagnosisError):
-                        GeneralDiagnoser(
-                            tiny_network, sharder=sharder
-                        ).diagnose(syndrome)
-                continue
-            for shards in SHARD_COUNTS:
-                sharder = ShardedSetBuilder(tiny_network, num_shards=shards)
-                sharded = GeneralDiagnoser(
-                    tiny_network, sharder=sharder
-                ).diagnose(syndrome)
-                assert sharded.faulty == plain.faulty
-                assert sharded.healthy_root == plain.healthy_root
-                assert sharded.healthy_nodes == plain.healthy_nodes
-                assert sharded.lookups == plain.lookups
 
     def test_compiled_and_object_diagnoses_accuse_identically(self, tiny_network):
         csr = compile_network(tiny_network)
@@ -212,10 +167,3 @@ class TestHarnessInternals:
 
     def test_seeds_are_stable(self, q5):
         assert _family_seeds(q5) == _family_seeds(q5)
-
-    def test_sharded_rejects_foreign_syndromes(self, q5):
-        other = ArraySyndrome.from_faults(
-            compile_network(q5), frozenset({1}), seed=0
-        ).to_table()
-        with pytest.raises(ValueError):
-            ShardedSetBuilder(q5, num_shards=2).run(other, 0)

@@ -147,34 +147,6 @@ class TestPairMemberShipping:
             assert "pair_builds" in report
             assert report["pair_builds"] >= 0
 
-    def test_publish_upgrades_to_pair_members(self):
-        from repro.backend.csr import compile_network
-        from repro.networks.registry import create_network
-
-        from multiprocessing import shared_memory
-
-        def exists(name):
-            try:
-                segment = shared_memory.SharedMemory(name=name)
-            except FileNotFoundError:
-                return False
-            segment.close()
-            return True
-
-        csr = compile_network(create_network("hypercube", dimension=6))
-        with WorkerPool(max_workers=1) as own_pool:
-            plain = own_pool.publish_topology(csr)
-            assert plain.num_pairs == 0
-            upgraded = own_pool.publish_topology(csr, include_pair_members=True)
-            assert upgraded.num_pairs == csr.num_pairs
-            assert upgraded.name != plain.name
-            # The plain segment must survive the upgrade: tasks already
-            # queued with its handle still have to attach it.
-            assert exists(plain.name)
-            # A pair-carrying segment satisfies later plain requests (superset).
-            assert own_pool.publish_topology(csr) is upgraded
-        assert not exists(plain.name) and not exists(upgraded.name)
-
     def test_release_topology_drops_segment_and_memo(self):
         from multiprocessing import shared_memory
 
@@ -183,7 +155,7 @@ class TestPairMemberShipping:
 
         csr = compile_network(create_network("hypercube", dimension=5))
         with WorkerPool(max_workers=1) as own_pool:
-            handle = own_pool.publish_topology(csr, include_pair_members=True)
+            handle = own_pool.publish_topology(csr)
             own_pool.release_topology(csr)
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=handle.name)

@@ -62,7 +62,7 @@ class TestTopologyRoundtrip:
     def test_pair_members_ship_zero_copy(self, q6_csr):
         from repro.backend.csr import pair_build_count
 
-        handle, segment = publish_topology(q6_csr, include_pair_members=True)
+        handle, segment = publish_topology(q6_csr)
         try:
             assert handle.num_pairs == q6_csr.num_pairs
             attached = attach_topology(handle)
@@ -75,11 +75,13 @@ class TestTopologyRoundtrip:
         finally:
             segment.close()
 
-    def test_plain_handles_still_derive_pair_members_locally(self, q6_csr):
+    def test_handles_without_pairs_derive_pair_members_locally(self, q6_csr):
+        from dataclasses import replace
+
         handle, segment = publish_topology(q6_csr)
         try:
-            assert handle.num_pairs == 0
-            attached = attach_topology(handle)
+            attached = attach_topology(replace(handle, num_pairs=0))
+            assert attached._pair_members is None
             for shipped, local in zip(attached.pair_members(), q6_csr.pair_members()):
                 assert np.array_equal(shipped, local)
         finally:
@@ -124,10 +126,8 @@ class TestPoolLifecycle:
         names.append(handle.name)
         buffer_handle = pool.publish_buffer(b"\x01" * 64)
         names.append(buffer_handle.name)
-        _, view = pool.allocate_buffer(32)
         # worker really attaches before we tear down
         assert pool.health()[0]["pid"] != os.getpid()
-        view = None  # drop the owner-side view so the segment can unmap
         pool.shutdown()
         for name in names:
             assert not _segment_exists(name)
@@ -237,11 +237,11 @@ class TestAttachRegistry:
                 segment.close()
 
 
-class TestAllocateBufferOwnership:
-    def test_zero_fill_failure_does_not_leak_the_segment(self, monkeypatch):
-        """Regression: ``allocate_buffer`` zero-filled the segment *between*
-        create and the OwnedSegment wrap, so an exception in the fill leaked
-        an ownerless segment in /dev/shm.  The wrap must come first: then the
+class TestPublishBufferOwnership:
+    def test_fill_failure_does_not_leak_the_segment(self, monkeypatch):
+        """Regression: a publisher once filled its segment *between* create
+        and the OwnedSegment wrap, so an exception in the fill leaked an
+        ownerless segment in /dev/shm.  The wrap must come first: then the
         finalize guard reclaims the segment on any exit path."""
         from repro.parallel import shm as shm_mod
 
@@ -261,13 +261,13 @@ class TestAllocateBufferOwnership:
             shm_mod.shared_memory, "SharedMemory", ExplodingSegment
         )
         try:
-            shm_mod.allocate_buffer(64)
+            shm_mod.publish_buffer(bytes(64))
         except RuntimeError:
             pass
         else:  # pragma: no cover - the patched segment always raises
             pytest.fail("patched segment should have raised")
         gc.collect()  # drop the half-constructed OwnedSegment -> finalize
-        assert names, "allocate_buffer never created a segment"
+        assert names, "publish_buffer never created a segment"
         assert not _segment_exists(names[0]), (
             "segment leaked: OwnedSegment must wrap the segment before any "
             "statement that can raise"
