@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
-from repro.core.set_builder import certificate_node_budget, set_builder
+from repro.backend import ArraySyndrome
+from repro.core.faults import random_faults
+from repro.core.set_builder import certificate_node_budget, mask_members, set_builder
 from repro.core.syndrome import LazySyndrome, generate_syndrome
 from repro.networks import Hypercube, StarGraph
 
@@ -164,6 +168,75 @@ class TestControls:
         assert first.lookups > 0
         assert second.lookups > 0
         assert syndrome.lookups == first.lookups + second.lookups
+
+
+#: ``set_builder()`` options per route over an ``ArraySyndrome``: only the
+#: unrestricted run to the fixpoint goes to the batched kernel.
+ARRAY_ROUTES = {
+    "kernel": {},
+    "restrict": {"restrict": lambda v: v < 64},
+    "max_nodes": {"max_nodes": 9},
+    "stop_on_certificate": {"stop_on_certificate": True},
+}
+
+
+set_builder_module = importlib.import_module("repro.core.set_builder")
+
+
+def faulty_array_syndrome(network, seed=4):
+    faults = random_faults(network, network.diagnosability(), seed=seed)
+    return ArraySyndrome.from_faults(network, faults, seed=seed)
+
+
+class TestArrayRouting:
+    @pytest.mark.parametrize("route", sorted(ARRAY_ROUTES))
+    def test_each_run_takes_one_route(self, q7, route, monkeypatch):
+        calls = {"kernel": [], "scalar": 0}
+        kernel = set_builder_module.set_builder_many
+        scalar = set_builder_module._set_builder_array
+
+        def kernel_spy(network, syndromes, roots, **kwargs):
+            calls["kernel"].append(len(syndromes))
+            return kernel(network, syndromes, roots, **kwargs)
+
+        def scalar_spy(*args, **kwargs):
+            calls["scalar"] += 1
+            return scalar(*args, **kwargs)
+
+        monkeypatch.setattr(set_builder_module, "set_builder_many", kernel_spy)
+        monkeypatch.setattr(set_builder_module, "_set_builder_array", scalar_spy)
+        set_builder(q7, faulty_array_syndrome(q7), 0, **ARRAY_ROUTES[route])
+        if route == "kernel":
+            assert calls == {"kernel": [1], "scalar": 0}
+        else:
+            assert calls == {"kernel": [], "scalar": 1}
+
+    @pytest.mark.parametrize("route", sorted(ARRAY_ROUTES))
+    def test_array_runs_credit_the_syndrome(self, q7, route):
+        syndrome = faulty_array_syndrome(q7)
+        first = set_builder(q7, syndrome, 0, **ARRAY_ROUTES[route])
+        second = set_builder(q7, syndrome, 1, **ARRAY_ROUTES[route])
+        assert first.lookups > 0
+        assert second.lookups > 0
+        assert syndrome.lookups == first.lookups + second.lookups
+
+    @pytest.mark.parametrize("kernel", ["native", "numpy"])
+    def test_kernel_mask_matches_its_sets(self, q7, kernel, monkeypatch):
+        native = importlib.import_module("repro.core.native")
+        if kernel == "numpy":
+            monkeypatch.setattr(native, "_forced_off", True)  # = REPRO_NO_NATIVE
+        elif not native.native_kernel_active():
+            pytest.skip("no C compiler available in this environment")
+        result = set_builder(q7, faulty_array_syndrome(q7), 0)
+        assert result.member_mask.shape == (q7.num_nodes,)
+        assert mask_members(result.member_mask) == result.nodes
+        assert result.size == len(result.nodes)
+        assert set(result.parent) == result.nodes - {0}
+
+    @pytest.mark.parametrize("root", [-1, 128])
+    def test_out_of_range_root_rejected_before_the_kernel(self, q7, root):
+        with pytest.raises(ValueError, match="not a node"):
+            set_builder(q7, faulty_array_syndrome(q7), root)
 
 
 class TestLookupAccounting:

@@ -27,6 +27,8 @@ from repro.parallel import (
     worker_health,
 )
 
+from .. import conftest
+
 
 def _segment_exists(name: str) -> bool:
     try:
@@ -72,6 +74,27 @@ class TestTopologyRoundtrip:
                 assert shipped.base is not None  # a view over the mapping
             # The shipped arrays satisfied pair_members() without a build.
             assert pair_build_count() == builds_before
+        finally:
+            segment.close()
+
+    @pytest.mark.parametrize("family", conftest.ALL_FAMILIES)
+    def test_every_family_ships_its_pair_members(self, family):
+        """Publication always ships pair members, whatever the row layout."""
+        from repro.backend.csr import pair_build_count
+
+        csr = compile_network(conftest.cached_network(family, "tiny"))
+        expected = csr.pair_members()
+        handle, segment = publish_topology(csr)
+        try:
+            assert handle.num_pairs == csr.num_pairs
+            attached = attach_topology(handle)
+            builds_before = pair_build_count()
+            shipped = attached.pair_members()
+            assert pair_build_count() == builds_before
+            assert len(shipped) == len(expected)
+            for got, want in zip(shipped, expected):
+                assert np.array_equal(got, want)
+            assert np.array_equal(attached.pair_indptr, csr.pair_indptr)
         finally:
             segment.close()
 

@@ -40,6 +40,27 @@ class TestCommands:
         code = main(["diagnose", "--family", "pancake", "--faults", "2"])
         assert code == 0
 
+    @pytest.mark.parametrize("uncompiled", [False, True], ids=["compiled", "uncompiled"])
+    @pytest.mark.parametrize("syndrome", ["array", "lazy", "table"])
+    def test_diagnose_agrees_across_backends(self, capsys, syndrome, uncompiled):
+        def diagnosed(*extra):
+            code = main(["diagnose", "--family", "hypercube", "--param", "dimension=7",
+                         "--seed", "3", *extra])
+            lines = capsys.readouterr().out.splitlines()
+            assert code == 0
+            return [line for line in lines if line.startswith(("diagnosed", "correct"))]
+
+        extra = ["--syndrome", syndrome] + (["--uncompiled"] if uncompiled else [])
+        assert diagnosed(*extra) == diagnosed()
+
+    @pytest.mark.parametrize("flag", ["--shards", "--workers"])
+    def test_removed_sharding_flags_are_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["diagnose", "--family", "hypercube", "--param", "dimension=7",
+                  flag, "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_distributed_baseline(self, capsys):
         code = main(["distributed", "--family", "hypercube", "--param", "dimension=6",
                      "--seed", "1"])
