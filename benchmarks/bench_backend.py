@@ -189,14 +189,15 @@ def _available_memory_gib() -> float:
 def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
     """``Q_n`` through the pooled shared-memory path, end to end.
 
-    The coordinator compiles ``Q_n`` once (pair members included), publishes
-    the topology *and* the syndrome buffer to shared memory, and ships a
-    single explicit-syndrome request as one :func:`run_batch_task` — exactly
-    the serving path's pooled dispatch.  The worker maps both segments
-    zero-copy and runs the stacked kernel; the task's compile/pair-build
-    deltas are asserted zero, which is what makes dimensions this size
-    practical: a per-worker topology walk + compile at ``Q_20`` costs more
-    than the diagnosis itself, and the pair arrays alone are hundreds of MB.
+    The coordinator compiles ``Q_n`` once, publishes the adjacency *and* the
+    syndrome buffer to shared memory, and ships a single explicit-syndrome
+    request as one :func:`run_batch_task` — exactly the serving path's
+    pooled dispatch.  The worker maps both segments zero-copy and runs the
+    stacked kernel; the task's compile/pair-build deltas are asserted zero,
+    which is what makes dimensions this size practical: a per-worker
+    topology walk + compile at ``Q_20`` costs more than the diagnosis
+    itself, and the pair-member arrays (built nowhere on this path) would
+    be hundreds of MB.
 
     The response is verified against a coordinator-side
     ``GeneralDiagnoser.diagnose`` run on the same syndrome.
@@ -212,7 +213,6 @@ def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
     cube = create_network("hypercube", dimension=n)
     csr = CSRAdjacency.from_network(cube)
     cube._csr_adjacency = csr
-    csr.pair_members()  # coordinator-side warm-up, published with the topology
     compile_s = time.perf_counter() - build_start
 
     faults = random_faults(cube, n, seed=seed)
@@ -238,7 +238,7 @@ def measure_shm_frontier(n: int, *, seed: int = 1) -> dict:
         pool.release(syndrome_handle)
 
     assert stats["compiles"] == 0, "worker recompiled a published topology"
-    assert stats["pair_builds"] == 0, "worker rebuilt published pair arrays"
+    assert stats["pair_builds"] == 0, "worker built pair-member arrays"
     assert stats["kernel_width"] == 1
     response = responses[0]
     assert response.error is None, response.error
@@ -448,9 +448,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     results = [measure_dimension(n) for n in dimensions]
     frontier = [] if reduced else [measure_compiled_frontier(n) for n in (16, 18)]
-    # Q_20 needs the shared-memory path (publishing the pair arrays once
-    # instead of rebuilding them per worker); Q_22 only where memory allows —
-    # its pair arrays and syndrome buffer run to several GiB.
+    # Q_20 needs the shared-memory path (publishing the topology once instead
+    # of compiling it per worker); Q_22 only where memory allows — its
+    # syndrome buffer alone runs to GiB.
     shm_dimensions = [] if reduced else [20]
     if not reduced and _available_memory_gib() >= 32.0:
         shm_dimensions.append(22)
@@ -481,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         "shm_frontier": {
             "description": (
                 "pooled shared-memory rows past the single-process frontier: "
-                "topology + pair arrays + syndrome buffer published once, one "
+                "topology + syndrome buffer published once, one "
                 "run_batch_task per diagnosis, zero worker-side compiles and "
                 "pair builds asserted, response verified against a direct "
                 "coordinator-side diagnose"

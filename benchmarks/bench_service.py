@@ -11,8 +11,8 @@ Q_12 / Q_14 / S_7 request stream with repeats:
 * **batched** — the coalescing service with its bounded topology LRU and a
   result store, batches executed in-process;
 * **batched_pooled** — the same, with batches dispatched as single
-  shared-memory `WorkerPool` tasks (pair members shipped, so workers neither
-  compile nor rebuild pair arrays — the reported deltas prove it);
+  shared-memory `WorkerPool` tasks (the adjacency shipped, so workers neither
+  compile a topology nor build pair arrays — the reported deltas prove it);
 * **batched_http** — the batched service behind the stdlib HTTP/JSON
   frontend (`repro.service.http`), clients driving the real wire path
   (keep-alive connections, JSON bodies) so the transport tax is measured,

@@ -13,13 +13,16 @@ everything written against the abstract oracle (the baselines, the verifier,
 the lookup-count accounting of experiment E5/E6) keeps working unchanged — the
 flat buffer is the fast substrate, the ``Syndrome`` API is the thin adapter.
 
-Generation from a hidden fault set is vectorised over the whole buffer for
-healthy testers; faulty testers are filled per the configured
-:class:`~repro.core.syndrome.FaultyTesterBehavior` in the exact canonical
-order of ``LazySyndrome.materialize()`` (testers ascending, sorted rows, pairs
-``(i, j)`` with ``i < j``), so an ``ArraySyndrome`` agrees entry-for-entry
-with a materialised :class:`~repro.core.syndrome.TableSyndrome` built from the
-same faults, behaviour and seed.
+Generation from a hidden fault set writes only the slots that can be
+non-zero.  A healthy tester reports ``s_u(v, w) = f[v] | f[w]``, so apart from
+the faulty testers' own slots the buffer is zero except where the pair holds
+a fault — about ``|F|·Δ²`` slots, found from the fault neighbourhoods in the
+adjacency without any per-slot index.  Faulty testers are then filled per the
+configured :class:`~repro.core.syndrome.FaultyTesterBehavior` in the exact
+canonical order of ``LazySyndrome.materialize()`` (testers ascending, sorted
+rows, pairs ``(i, j)`` with ``i < j``), so an ``ArraySyndrome`` agrees
+entry-for-entry with a materialised :class:`~repro.core.syndrome.TableSyndrome`
+built from the same faults, behaviour and seed.
 """
 
 from __future__ import annotations
@@ -37,8 +40,40 @@ __all__ = ["ArraySyndrome"]
 
 
 def pair_offset(i: int, j: int, degree: int) -> int:
-    """Slot offset of the pair at sorted-row positions ``i < j`` of a tester."""
+    """Slot offset of the pair at sorted-row positions ``i < j`` of a tester.
+
+    Works elementwise on integer arrays too.
+    """
     return i * (2 * degree - i - 1) // 2 + (j - i - 1)
+
+
+def _fault_pair_slots(csr: CSRAdjacency, faults: np.ndarray) -> np.ndarray:
+    """Every pair slot ``s_u(v, w)`` with ``v`` or ``w`` in ``faults``.
+
+    A fault ``f`` sits in the row of each neighbour ``u``, at some position
+    ``i``; the slots of ``u`` pairing ``f`` with any other position ``j``
+    are ``pair_base[u] + pair_offset(min(i, j), max(i, j), deg(u))``.  All
+    ``(f, u, j)`` are enumerated at once — about ``|F|·Δ²`` entries — and
+    slots holding two faults appear twice.
+    """
+    indptr, indices = csr.indptr, csr.indices
+    # Every (fault, neighbour u) edge.
+    addr, owner = csr.row_entries(faults)
+    fault = faults[owner]
+    tester = indices[addr].astype(np.int64)
+    # Every entry of every such u's row, tagged with its edge and position.
+    addr, edge = csr.row_entries(tester)
+    row_start = indptr[tester]
+    position = addr - row_start[edge]
+    # i = the position of the fault in u's sorted row.
+    i = np.bincount(edge, weights=indices[addr] < fault[edge], minlength=tester.size)
+    i = i.astype(np.int64)[edge]
+    keep = position != i
+    a = np.minimum(i, position)[keep]
+    b = np.maximum(i, position)[keep]
+    degree = (indptr[tester + 1] - row_start)[edge[keep]]
+    base = csr.pair_indptr[tester][edge[keep]]
+    return base + pair_offset(a, b, degree)
 
 
 class ArraySyndrome(Syndrome):
@@ -54,7 +89,9 @@ class ArraySyndrome(Syndrome):
     ) -> None:
         super().__init__()
         self.csr: CSRAdjacency = compile_network(topology)
-        if not copy and isinstance(values, np.ndarray):
+        if not copy and isinstance(values, bytearray):
+            buf = values  # adopt a freshly built buffer (from_faults)
+        elif not copy and isinstance(values, np.ndarray):
             # Zero-copy adoption of an existing flat uint8 array — the serving
             # path wraps shared-memory views this way, so a worker diagnosing
             # an explicit syndrome never duplicates the buffer per process.
@@ -80,13 +117,16 @@ class ArraySyndrome(Syndrome):
         behavior: FaultyTesterBehavior | str = "random",
         seed: int | None = 0,
     ) -> "ArraySyndrome":
-        """Generate the full syndrome of a hidden fault set (vectorised).
+        """Generate the full syndrome of a hidden fault set.
 
         ``topology`` may be a network or an already compiled
-        :class:`CSRAdjacency`.  Healthy testers are filled in one numpy pass;
-        faulty testers consume the seeded generator in the canonical
-        materialisation order, reproducing ``LazySyndrome.materialize()``
-        entry for entry.
+        :class:`CSRAdjacency`.  A healthy tester reports
+        ``s_u(v, w) = f[v] | f[w]``, so the healthy fill writes only the
+        slots whose pair holds a fault (:func:`_fault_pair_slots`) into a
+        zeroed buffer.  Faulty testers are then overridden in the canonical
+        materialisation order, consuming the seeded generator exactly like
+        ``LazySyndrome.materialize()``, so the buffer agrees with it entry
+        for entry.
         """
         csr = compile_network(topology)
         fault_set = frozenset(int(f) for f in faults)
@@ -97,35 +137,39 @@ class ArraySyndrome(Syndrome):
             behavior = FaultyTesterBehavior(behavior, seed=seed)
         rng = random.Random(seed)
 
-        _, pv, pw = csr.pair_members()
-        mask = np.zeros(csr.num_nodes, dtype=bool)
-        if fault_set:
-            mask[list(fault_set)] = True
-        values = (mask[pv] | mask[pw]).astype(np.uint8)
+        buf = bytearray(csr.num_pairs)
+        values = np.frombuffer(buf, dtype=np.uint8)
+        ordered = sorted(fault_set)
+        if ordered:
+            values[_fault_pair_slots(csr, np.asarray(ordered, dtype=np.int64))] = 1
 
-        pair_indptr = csr.pair_indptr
-        for u in sorted(fault_set):
-            lo, hi = int(pair_indptr[u]), int(pair_indptr[u + 1])
+        # The healthy fill must come first: anti_mimic and the per-pair
+        # behaviours read the healthy value of the slot they override.
+        pair_base = csr.pair_base
+        name = behavior.name
+        for u in ordered:
+            lo, hi = pair_base[u], pair_base[u + 1]
             if lo == hi:
                 continue
-            name = behavior.name
             if name == "all_zero":
                 values[lo:hi] = 0
             elif name == "all_one":
                 values[lo:hi] = 1
             elif name == "anti_mimic":
-                values[lo:hi] = 1 - values[lo:hi]
+                values[lo:hi] ^= 1
             elif name == "mimic":
                 pass  # the healthy values already in place are the answer
             else:
                 # Delegate per pair (consuming the rng in canonical order), so
                 # behaviours beyond the bulk-computable ones above stay in
                 # lockstep with LazySyndrome.
-                for k in range(lo, hi):
-                    values[k] = behavior.result(
-                        u, int(pv[k]), int(pw[k]), int(values[k]), rng
-                    )
-        return cls(csr, values.tobytes(), faults=fault_set)
+                row = csr.rows[u]
+                k = lo
+                for i, v in enumerate(row):
+                    for w in row[i + 1:]:
+                        buf[k] = behavior.result(u, v, w, buf[k], rng)
+                        k += 1
+        return cls(csr, buf, faults=fault_set, copy=False)
 
     @classmethod
     def from_syndrome(cls, topology, syndrome: Syndrome) -> "ArraySyndrome":

@@ -45,10 +45,10 @@ __all__ = ["CSRAdjacency", "compile_network", "compile_count", "pair_build_count
 _compile_count = 0
 
 #: Process-wide count of pair-member materialisations (pair_members()) — the
-#: other big per-topology intermediate (three num_pairs-sized arrays, used by
-#: vectorised syndrome generation).  Shipping them through shared memory
-#: (repro.parallel.shm) keeps the worker-side delta at 0, mirroring the
-#: compile-count evidence.
+#: other big per-topology intermediate (three num_pairs-sized arrays).  No
+#: serving or sweep path reads them (syndrome generation works from the
+#: adjacency), so the pool and the service report a delta of 0, mirroring
+#: the compile-count evidence.
 _pair_build_count = 0
 
 
@@ -141,6 +141,18 @@ class CSRAdjacency:
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
 
+    def row_entries(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat addresses of the entries of ``nodes``' rows, row by row.
+
+        Returns ``(addr, owner)``: ``indices[addr]`` are the rows' entries
+        and ``owner[k]`` is the position in ``nodes`` of entry ``k``'s row.
+        """
+        starts = self.indptr[nodes]
+        counts = self.indptr[nodes + 1] - starts
+        addr = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        addr += np.arange(addr.size, dtype=np.int64)
+        return addr, np.repeat(np.arange(len(nodes)), counts)
+
     def has_edge(self, u: int, v: int) -> bool:
         """Sorted-row bisect membership test (``O(log Δ)``)."""
         lo, hi = int(self.indptr[u]), int(self.indptr[u + 1])
@@ -175,8 +187,9 @@ class CSRAdjacency:
         """Arrays ``(tester, left, right)`` mapping pair slot → test members.
 
         Slot ``k`` holds the test ``s_tester[k](left[k], right[k])`` with
-        ``left < right`` (sorted-row order).  Built once and cached; used by
-        the vectorised syndrome generator and by table exports.
+        ``left < right`` (sorted-row order).  Built once and cached; 12 bytes
+        per slot, so only whole-table scans use it (``ArraySyndrome.items``
+        and ``to_table``) — syndrome generation and serving never do.
         """
         if self._pair_members is None:
             global _pair_build_count
@@ -236,13 +249,8 @@ class CSRAdjacency:
     def _outside_touching(self, mask: np.ndarray) -> set[int]:
         """Non-members of ``mask`` with a member neighbour (see :meth:`boundary`)."""
         outside = np.flatnonzero(~mask)
-        starts = self.indptr[outside]
-        counts = self.indptr[outside + 1] - starts
-        # Flat address of every entry of the non-member rows, row by row.
-        addr = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        addr += np.arange(addr.size, dtype=np.int64)
-        owner = np.repeat(outside, counts)
-        return set(owner[mask[self.indices[addr]]].tolist())
+        addr, owner = self.row_entries(outside)
+        return set(outside[owner[mask[self.indices[addr]]]].tolist())
 
     # ---------------------------------------------------------------- dunders
     def __len__(self) -> int:

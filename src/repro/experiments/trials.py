@@ -12,8 +12,9 @@ and executes it against **shared compiled topologies**:
   ``(family, params)`` shares one object and one compiled
   :class:`~repro.backend.csr.CSRAdjacency`;
 * syndromes are generated straight into the flat
-  :class:`~repro.backend.array_syndrome.ArraySyndrome` layout (vectorised over
-  the compiled pair arrays), which is also the diagnosis fast path;
+  :class:`~repro.backend.array_syndrome.ArraySyndrome` layout (written from
+  the fault neighbourhoods of the compiled adjacency), which is also the
+  diagnosis fast path;
 * trials are grouped by topology, and groups fan out — in *chunks* — over a
   persistent shared-memory :class:`~repro.parallel.pool.WorkerPool`: the
   coordinator compiles each topology once, publishes the flat arrays to
@@ -406,9 +407,9 @@ def _run_plan_chunked(
             handle = None
             if share_topology:
                 _, csr = compiled_network(first.family, **first.network_kwargs)
-                # Workers generate their chunks' syndromes, so ship the
-                # pair-member arrays too — the delta proves nobody rebuilds
-                # them per worker.
+                # Workers generate their chunks' syndromes from the shipped
+                # adjacency alone — the deltas prove nobody compiles it or
+                # builds pair arrays per worker.
                 handle = pool.publish_topology(csr)
                 stats["topologies_published"] += 1
             size = chunk_size or _chunk_size(len(group), pool.max_workers)

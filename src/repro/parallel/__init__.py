@@ -2,7 +2,7 @@
 
 This package is the intra-machine scale-out layer of the reproduction (the
 inter-machine story is :mod:`repro.fabric`): one compiled topology — the
-CSR ``indptr``/``indices`` pair plus its pair-member arrays — and any
+CSR ``indptr``/``indices`` pair — and any
 syndrome buffers are placed in :mod:`multiprocessing.shared_memory` once and
 mapped zero-copy by a persistent pool of workers, so neither trial sweeps
 nor the diagnosis service ever recompile a topology per worker.

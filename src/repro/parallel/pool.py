@@ -123,7 +123,7 @@ class WorkerPool:
 
     # ------------------------------------------------------------ publishing
     def publish_topology(self, topology) -> TopologyHandle:
-        """Place a compiled topology, pair members included, in shared memory.
+        """Place a compiled topology in shared memory.
 
         Accepts a network or a :class:`CSRAdjacency`; the same object is
         published at most once per pool, so every group of a sweep that runs
@@ -239,36 +239,23 @@ def worker_topology(handle: TopologyHandle) -> CSRAdjacency:
 def adopt_worker_topology(network, handle: TopologyHandle | None) -> None:
     """Give a worker-side network object the shared compiled topology.
 
-    Two gaps to cover, both proven by the pair-build/compile deltas:
-
-    * no compiled adjacency yet (pool forked before this topology was ever
-      compiled): attach the whole CSR zero-copy;
-    * a fork-*inherited* adjacency without pair members, while the handle
-      ships them (the parent compiled before the fork but built the pair
-      arrays only at publish time): graft the shared views onto the
-      inherited object, so worker-side syndrome generation still never
-      materialises them.
-
-    The grafted views stay alive through the worker's topology cache, which
-    pins the mapping for the worker's lifetime.
+    A network with no compiled adjacency yet (the pool forked before this
+    topology was ever compiled) attaches the whole CSR zero-copy; one that
+    inherited its adjacency through fork keeps it, since the adjacency is
+    all a worker reads.  The compile delta proves neither case walks the
+    topology.
     """
-    if handle is None:
-        return
-    csr = getattr(network, "_csr_adjacency", None)
-    if csr is None:
+    if handle is not None and getattr(network, "_csr_adjacency", None) is None:
         network._csr_adjacency = worker_topology(handle)
-    elif handle.num_pairs and csr._pair_members is None:
-        csr._pair_members = worker_topology(handle)._pair_members
 
 
 def worker_network(family: str, params, handle: TopologyHandle | None):
     """Worker-side ``(network, csr)`` resolution shared by every pool task.
 
     The network object comes from the registry memo (persistent across the
-    worker's lifetime); its compiled adjacency — pair members included — is
-    adopted from the shared mapping when a handle is given.  ``handle=None``
-    compiles locally, the per-worker-recompilation baseline the benchmarks
-    keep for comparison.
+    worker's lifetime); its compiled adjacency is adopted from the shared
+    mapping when a handle is given.  ``handle=None`` compiles locally, the
+    per-worker-recompilation baseline the benchmarks keep for comparison.
     """
     from ..networks.registry import cached_network
 
@@ -287,7 +274,7 @@ def compile_delta_probe() -> Callable[[], dict]:
         return results, probe()
 
     so the coordinator can aggregate per-task proof that shared-memory
-    workers neither recompiled a topology nor rebuilt its pair arrays.
+    workers neither recompiled a topology nor built its pair-member arrays.
     """
     compiles_before = compile_count()
     pair_builds_before = pair_build_count()
@@ -323,8 +310,8 @@ def worker_health() -> dict:
     the number expected to stay at whatever the fork inherited, because
     shared-memory attachment replaces every per-worker topology walk.
     ``pair_builds`` is the analogous
-    :func:`~repro.backend.csr.pair_build_count`: flat whenever topologies
-    arrive with their pair members shipped through shared memory.
+    :func:`~repro.backend.csr.pair_build_count`: flat, because no pool task
+    reads pair members (syndrome generation works from the adjacency).
     """
     return {
         "pid": os.getpid(),

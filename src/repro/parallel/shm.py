@@ -11,8 +11,8 @@ places them in :mod:`multiprocessing.shared_memory` **once** and workers map
 them zero-copy:
 
 * :func:`publish_topology` serialises a compiled CSR into one segment
-  (``indptr`` as ``int64``, ``indices`` and the three pair-member arrays as
-  ``int32``) and returns a small picklable :class:`TopologyHandle`;
+  (``indptr`` as ``int64``, ``indices`` as ``int32``) and returns a small
+  picklable :class:`TopologyHandle`;
 * :func:`attach_topology` reconstructs a :class:`CSRAdjacency` in the worker
   whose arrays are *views* over the mapped segment — no copy, no walk of the
   topology, and the derived pair layout (an ``N``-element cumsum) is the only
@@ -65,18 +65,11 @@ _INT32 = np.dtype(np.int32)
 
 @dataclass(frozen=True)
 class TopologyHandle:
-    """Picklable reference to a compiled topology placed in shared memory.
-
-    ``num_pairs`` is the length of each shipped pair-member array (the
-    ``(tester, left, right)`` triple behind vectorised syndrome generation);
-    attachers view them out of the same segment instead of re-materialising
-    three ``num_pairs``-sized arrays per worker.
-    """
+    """Picklable reference to a compiled topology placed in shared memory."""
 
     name: str
     num_nodes: int
     num_entries: int
-    num_pairs: int
 
 
 @dataclass(frozen=True)
@@ -183,19 +176,16 @@ def publish_topology(csr: CSRAdjacency) -> tuple[TopologyHandle, OwnedSegment]:
     """Place a compiled CSR adjacency into one shared-memory segment.
 
     Layout: ``indptr`` (``int64``, ``N + 1`` entries), then ``indices``
-    (``int32``, ``E`` entries), then the three pair-member arrays (``int32``,
-    ``num_pairs`` entries each).  Every pool task that generates syndromes
-    (the diagnosis service, trial sweeps) reads the pair members, so they are
-    always shipped.  The pair *layout* (``pair_indptr``) is never stored —
-    attachers re-derive it with one cheap cumsum in
-    :class:`CSRAdjacency.__init__`.
+    (``int32``, ``E`` entries) — nothing else.  Syndrome generation reads
+    only the adjacency (see :meth:`ArraySyndrome.from_faults
+    <repro.backend.array_syndrome.ArraySyndrome.from_faults>`), and the pair
+    *layout* (``pair_indptr``) is re-derived by attachers with one cheap
+    cumsum in :class:`CSRAdjacency.__init__`.
     """
     indptr_bytes = (csr.num_nodes + 1) * _INT64.itemsize
     indices_bytes = csr.num_entries * _INT32.itemsize
-    num_pairs = csr.num_pairs
-    pairs_bytes = 3 * num_pairs * _INT32.itemsize
     segment = shared_memory.SharedMemory(
-        create=True, size=max(1, indptr_bytes + indices_bytes + pairs_bytes)
+        create=True, size=max(1, indptr_bytes + indices_bytes)
     )
     owned = OwnedSegment(segment)
     indptr_view = np.frombuffer(segment.buf, dtype=_INT64, count=csr.num_nodes + 1)
@@ -204,16 +194,8 @@ def publish_topology(csr: CSRAdjacency) -> tuple[TopologyHandle, OwnedSegment]:
         segment.buf, dtype=_INT32, count=csr.num_entries, offset=indptr_bytes
     )
     indices_view[:] = csr.indices
-    offset = indptr_bytes + indices_bytes
-    for members in csr.pair_members():
-        view = np.frombuffer(segment.buf, dtype=_INT32, count=num_pairs, offset=offset)
-        view[:] = members
-        offset += num_pairs * _INT32.itemsize
     handle = TopologyHandle(
-        name=segment.name,
-        num_nodes=csr.num_nodes,
-        num_entries=csr.num_entries,
-        num_pairs=num_pairs,
+        name=segment.name, num_nodes=csr.num_nodes, num_entries=csr.num_entries
     )
     return handle, owned
 
@@ -223,9 +205,7 @@ def attach_topology(handle: TopologyHandle) -> CSRAdjacency:
 
     The returned object keeps the :class:`SharedMemory` mapping alive via the
     ``_shm`` attribute for as long as the CSR (and any array views handed out
-    from it) is referenced.  The shipped pair members are pre-seeded as views
-    too, so ``pair_members()`` never materialises its arrays in the attaching
-    process (``pair_build_count`` stays flat).
+    from it) is referenced.
     """
     segment = attach(handle.name)
     indptr_bytes = (handle.num_nodes + 1) * _INT64.itemsize
@@ -234,22 +214,6 @@ def attach_topology(handle: TopologyHandle) -> CSRAdjacency:
         segment.buf, dtype=_INT32, count=handle.num_entries, offset=indptr_bytes
     )
     csr = CSRAdjacency(indptr, indices)
-    if handle.num_pairs:
-        if handle.num_pairs != csr.num_pairs:
-            raise ValueError(
-                f"handle advertises {handle.num_pairs} pairs but the adjacency "
-                f"derives {csr.num_pairs}"
-            )
-        offset = indptr_bytes + handle.num_entries * _INT32.itemsize
-        members = []
-        for _ in range(3):
-            members.append(
-                np.frombuffer(
-                    segment.buf, dtype=_INT32, count=handle.num_pairs, offset=offset
-                )
-            )
-            offset += handle.num_pairs * _INT32.itemsize
-        csr._pair_members = tuple(members)
     csr._shm = segment  # keep the mapping alive alongside the views
     return csr
 

@@ -2,15 +2,13 @@
 
 Long-running processes — the diagnosis service above all, but also the
 network registry's instance memo — must not grow without bound: every cached
-network instance pins its compiled CSR arrays (and, once touched, three
-``num_pairs``-sized pair-member arrays), so an unbounded memo in a server
-that sees many distinct topologies is a slow memory leak.  On the serving
-path the cost is paid up front: :func:`~repro.service.executor.\
-resolve_topology` returns entries fully *warmed* — rows, pair bases and
-pair members materialised — so a cache hit hands a batch everything its
-per-request syndrome generation needs with zero build work inside the
-measured window (the in-process pair-build delta stays at zero exactly like
-the pooled one).  :class:`LRUCache`
+network instance pins its compiled CSR arrays and their Python row views,
+so an unbounded memo in a server that sees many distinct topologies is a
+slow memory leak.  On the serving path the cost is paid up front:
+:func:`~repro.service.executor.resolve_topology` returns entries *warmed* —
+rows and pair bases materialised — so a cache hit hands a batch everything
+its per-request syndrome generation needs with zero build work inside the
+measured window.  :class:`LRUCache`
 is the one bounded replacement for the ad-hoc dict memos: least-recently-used
 eviction, a configurable capacity, and a :class:`CacheStats` counter set that
 the service's ``stats`` endpoint and the registry's :func:`cache_stats`

@@ -3,9 +3,9 @@
 One *batch* is every coalesced request sharing a compiled topology.  The
 coordinator resolves the topology once (through the service's bounded LRU),
 then either runs the batch in-process or ships it as **one**
-:class:`~repro.parallel.pool.WorkerPool` task: the worker maps the topology
-— including the pair-member arrays behind vectorised syndrome generation —
-out of shared memory, regenerates each request's syndrome, and diagnoses.
+:class:`~repro.parallel.pool.WorkerPool` task: the worker maps the topology's
+adjacency out of shared memory, regenerates each request's syndrome from the
+fault neighbourhoods, and diagnoses.
 Either way the per-request work is exactly the direct pipeline
 (:class:`~repro.core.diagnosis.GeneralDiagnoser` over an
 :class:`~repro.backend.array_syndrome.ArraySyndrome`), so responses are
@@ -14,7 +14,9 @@ resolution and process round-trips.
 
 Every batch reports the compile-count and pair-build deltas it caused in its
 executing process — the serving layer's zero-per-request-recompilation claim
-is asserted from these counters, not assumed.
+is asserted from these counters, not assumed.  Nothing on the serving path
+reads the pair-member arrays, so the pair-build delta is zero without any
+warm-up.
 """
 
 from __future__ import annotations
@@ -77,11 +79,11 @@ def resolve_topology(family: str, params: dict):
     and the naive baseline's capacity-0 configuration — measure what they
     claim to.
 
-    The entry is returned fully *warmed*: rows, pair bases and the
-    pair-member arrays behind per-request ``ArraySyndrome`` generation are
-    materialised here, once per cache entry, so repeat requests on a cached
-    topology never rebuild a pair index inside a measured batch — the
-    in-process pair-build delta stays at zero just like the pooled one.
+    The entry is returned *warmed*: the Python views of the rows and pair
+    bases that per-request syndrome generation and ``Set_Builder`` read are
+    materialised here, once per cache entry, so no measured batch builds
+    them.  The pair-member arrays are not: nothing on the serving path
+    reads them.
     """
     network = create_network(family, **params)
     from ..backend.csr import compile_network
@@ -89,7 +91,6 @@ def resolve_topology(family: str, params: dict):
     csr = compile_network(network)
     csr.rows
     csr.pair_base
-    csr.pair_members()
     return network, csr
 
 
@@ -186,9 +187,8 @@ def run_batch_local(
     """Execute one batch in this process (pre-resolved topology).
 
     The compile/pair deltas cover only the requests themselves (the topology
-    was resolved — and its pair index warmed — before the measurement
-    starts), mirroring what the pool task reports: on the serving path both
-    must be zero.  ``kernel_width`` is the stacked kernel's actual batch
+    was resolved and compiled before the measurement starts), mirroring what
+    the pool task reports: on the serving path both must be zero.  ``kernel_width`` is the stacked kernel's actual batch
     width (requests whose syndrome failed to construct never reach it).
     """
     from ..parallel.pool import compile_delta_probe
@@ -226,9 +226,9 @@ def run_batch_task(
     """Pool-side batch execution: attach the shared topology, then diagnose.
 
     The worker's network object comes from the registry memo (persistent
-    across tasks); its compiled adjacency — pair members included — is the
-    zero-copy shared-memory mapping, so the worker neither walks the
-    topology nor rebuilds the pair arrays (the reported deltas prove it).
+    across tasks); its compiled adjacency is the zero-copy shared-memory
+    mapping, so the worker neither walks the topology nor builds the pair
+    arrays (the reported deltas prove it).
 
     Explicit syndromes travel the same way: the coordinator concatenates
     their buffers into one published segment (``syndrome_handle``) and sends

@@ -84,8 +84,12 @@ def topology_key(family: str, params) -> str:
 
 
 def syndrome_digest(buffer) -> str:
-    """SHA-256 content address of a flat syndrome buffer."""
-    return hashlib.sha256(bytes(buffer)).hexdigest()
+    """SHA-256 content address of a flat syndrome buffer.
+
+    Hashes any contiguous buffer (``bytes``, ``bytearray``, a ``uint8``
+    array or a view of one) in place, without copying it first.
+    """
+    return hashlib.sha256(buffer).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,10 @@ class DiagnosisRequest:
     :func:`request_key` or :func:`topology_key` — identical work is identical
     work, so two tenants asking the same question still coalesce onto one
     computation and one stored row (neither consumes the other's quota).
+
+    An explicit request hashes its buffer once, on first use of
+    :attr:`content_digest`; the store probe, the dedup key and the store
+    commit all reuse that digest.
     """
 
     family: str
@@ -112,6 +120,9 @@ class DiagnosisRequest:
     seed: int = 0
     tenant: str = DEFAULT_TENANT
     syndrome_bytes: bytes | None = field(default=None, repr=False)
+    _content_digest: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def seeded(
@@ -242,6 +253,15 @@ class DiagnosisRequest:
         return self.syndrome_bytes is not None
 
     @property
+    def content_digest(self) -> str:
+        """:func:`syndrome_digest` of the explicit buffer, hashed on first use."""
+        if self._content_digest is None:
+            object.__setattr__(
+                self, "_content_digest", syndrome_digest(self.syndrome_bytes)
+            )
+        return self._content_digest
+
+    @property
     def key(self) -> str:
         """Duplicate-suppression key (see :func:`request_key`)."""
         return request_key(self)
@@ -250,7 +270,7 @@ class DiagnosisRequest:
         prefix = "" if self.tenant == DEFAULT_TENANT else f"[{self.tenant}] "
         if self.is_explicit:
             return (f"{prefix}{self.topology_key} "
-                    f"syndrome@{syndrome_digest(self.syndrome_bytes)[:12]}")
+                    f"syndrome@{self.content_digest[:12]}")
         count = "delta" if self.fault_count is None else str(self.fault_count)
         return (f"{prefix}{self.topology_key} {self.placement}/{count} "
                 f"{self.behavior} seed={self.seed}")
@@ -266,7 +286,7 @@ def request_key(request: DiagnosisRequest) -> str:
     join consumes no queue slot from either tenant.
     """
     if request.is_explicit:
-        return f"{request.topology_key}|sha256:{syndrome_digest(request.syndrome_bytes)}"
+        return f"{request.topology_key}|sha256:{request.content_digest}"
     return (f"{request.topology_key}|{request.placement}|{request.fault_count}"
             f"|{request.behavior}|{request.seed}")
 

@@ -13,7 +13,7 @@ pipeline into amortised batched work:
    within the coalescing window join one batch; the batch resolves its
    compiled topology once (through a bounded LRU) and executes as a single
    unit — in-process, or as one :class:`~repro.parallel.pool.WorkerPool`
-   task mapping the topology (pair members included) out of shared memory.
+   task mapping the topology's adjacency out of shared memory.
 
 Multi-tenancy sits across all three stages: every request carries a
 ``tenant``, each topology's queue is a per-tenant deficit-round-robin

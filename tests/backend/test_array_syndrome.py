@@ -5,12 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.backend import ArraySyndrome, compile_network
+from repro.backend.csr import CSRAdjacency, pair_build_count
 from repro.core.diagnosis import GeneralDiagnoser
-from repro.core.faults import clustered_faults, random_faults
+from repro.core.faults import clustered_faults, random_faults, spread_faults
 from repro.core.set_builder import set_builder
 from repro.core.syndrome import FaultyTesterBehavior, LazySyndrome, generate_syndrome
 
 from ..conftest import ALL_FAMILIES, cached_network
+
+
+PLACEMENTS = {
+    "random": random_faults,
+    "clustered": clustered_faults,
+    "spread": spread_faults,
+}
 
 
 def _tiny_faults(network, seed=0):
@@ -49,6 +57,41 @@ class TestEntryAgreement:
                 for w in row[i + 1:]:
                     assert array.lookup(u, v, w) == lazy.lookup(u, v, w)
 
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    @pytest.mark.parametrize("behavior", FaultyTesterBehavior.NAMES)
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_buffer_is_byte_identical_to_lazy_oracle(self, family, behavior, placement):
+        """|F| = delta under every placement and behaviour.
+
+        Clustered faults put two faults in one tested pair and faulty
+        testers next to faults; spread faults keep every fault apart.
+        """
+        network = cached_network(family, "tiny")
+        faults = PLACEMENTS[placement](network, network.diagnosability(), seed=5)
+        array = ArraySyndrome.from_faults(network, faults, behavior=behavior, seed=5)
+        oracle = ArraySyndrome.from_syndrome(
+            network, LazySyndrome(network, faults, behavior=behavior, seed=5)
+        )
+        assert bytes(array.buffer) == bytes(oracle.buffer)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_empty_fault_set_is_all_zero(self, family):
+        network = cached_network(family, "tiny")
+        array = ArraySyndrome.from_faults(network, (), seed=0)
+        assert len(array) == compile_network(network).num_pairs
+        assert not any(array.buffer)
+
+    def test_clustered_faults_share_pairs_and_testers(self, q5):
+        """The clustered pin covers slots holding two faults and faulty
+        testers adjacent to faults (the cases a wrong offset double-writes)."""
+        faults = clustered_faults(q5, q5.diagnosability(), seed=5)
+        csr = compile_network(q5)
+        shared_pair = any(
+            len(faults.intersection(csr.rows[u])) >= 2 for u in range(q5.num_nodes)
+        )
+        faulty_neighbour = any(faults.intersection(csr.rows[f]) for f in faults)
+        assert shared_pair and faulty_neighbour
+
     def test_from_syndrome_reencodes_table(self, q5):
         faults = frozenset({4, 9})
         table = LazySyndrome(q5, faults, seed=3).materialize()
@@ -64,6 +107,26 @@ class TestEntryAgreement:
         table = array.to_table()
         for (u, v, w), value in table.items():
             assert array._result(u, v, w) == value
+
+
+class TestGenerationFootprint:
+    def test_generation_builds_no_pair_members(self):
+        """from_faults reads the adjacency only: no 12-byte-per-slot index."""
+        network = cached_network("hypercube", "tiny")
+        csr = CSRAdjacency.from_network(network)
+        faults = clustered_faults(network, network.diagnosability(), seed=3)
+        before = pair_build_count()
+        for behavior in FaultyTesterBehavior.NAMES:
+            ArraySyndrome.from_faults(csr, faults, behavior=behavior, seed=3)
+        assert pair_build_count() == before
+        assert csr._pair_members is None
+
+    def test_generated_buffer_is_adopted_as_a_bytearray(self, q5):
+        """The scalar lookup paths index the buffer; a bytearray keeps those
+        reads plain ints."""
+        array = ArraySyndrome.from_faults(q5, {1, 2}, seed=0)
+        assert isinstance(array.buffer, bytearray)
+        assert array.values_array.base is not None  # a view, not a copy
 
 
 class TestSyndromeApi:

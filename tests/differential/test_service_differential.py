@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
+from repro.backend import ArraySyndrome
+from repro.backend.csr import pair_build_count
+from repro.core.faults import clustered_faults
+from repro.core.syndrome import FaultyTesterBehavior
 from repro.parallel import WorkerPool, spawn_seeds
 from repro.service import DiagnosisRequest, DiagnosisService, ResultStore
 from repro.service.executor import run_direct
-from tests.conftest import TINY_PARAMS
+from tests.conftest import ALL_FAMILIES, TINY_PARAMS
 
 PLACEMENTS = ("random", "clustered")
 
@@ -34,6 +40,20 @@ def _family_requests(network) -> list[DiagnosisRequest]:
         for placement in PLACEMENTS
     ]
     return requests + requests[:2]  # repeats exercise coalescing/store paths
+
+
+def _generation_requests(network) -> list[DiagnosisRequest]:
+    """Every faulty-tester behaviour seeded, plus one explicit syndrome."""
+    params = TINY_PARAMS[network.family]
+    requests = [
+        DiagnosisRequest.seeded(
+            network.family, params, placement="clustered", behavior=behavior, seed=seed
+        )
+        for seed, behavior in enumerate(FaultyTesterBehavior.NAMES)
+    ]
+    faults = clustered_faults(network, network.diagnosability(), seed=9)
+    syndrome = ArraySyndrome.from_faults(network, faults, seed=9)
+    return requests + [DiagnosisRequest.from_syndrome(network.family, params, syndrome)]
 
 
 def _serve(service: DiagnosisService, requests):
@@ -134,3 +154,48 @@ class TestServiceDifferential:
             first.faulty, first.healthy_root, first.lookups
         )
         _assert_matches_direct(q5, [request], [second])
+
+
+@pytest.fixture(scope="module")
+def fresh_pool():
+    """A pool forked before any worker-visible topology is compiled.
+
+    Clearing the registry memo first means no worker inherits a compiled
+    adjacency through fork: every topology a worker uses is attached from
+    the published segment, which holds the adjacency and nothing else.
+    """
+    from repro.networks.registry import clear_network_cache
+
+    clear_network_cache()
+    with WorkerPool(max_workers=2) as pool:
+        pool.submit(pow, 2, 2).result()  # fork now
+        yield pool
+
+
+class TestNoPairIndexOnServingPath:
+    """Seeded generation works from the adjacency alone: serving builds no
+    pair-member arrays in the coordinator or in any worker."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_pooled_service_matches_direct_on_every_family(self, fresh_pool, family):
+        from tests.conftest import cached_network
+
+        network = cached_network(family, "tiny")
+        requests = _generation_requests(network)
+        before = pair_build_count()
+        service = DiagnosisService(pool=fresh_pool)
+        responses = _serve(service, requests)
+        stats = service.stats()
+        assert pair_build_count() == before
+        assert stats["worker_compiles"] == 0
+        assert stats["worker_pair_builds"] == 0
+        _assert_matches_direct(network, requests, responses)
+
+    def test_in_process_service_builds_no_pair_members(self, tiny_network):
+        requests = _generation_requests(tiny_network)
+        before = pair_build_count()
+        service = DiagnosisService(store=ResultStore())
+        responses = _serve(service, requests)
+        assert pair_build_count() == before
+        assert service.stats()["worker_pair_builds"] == 0
+        _assert_matches_direct(tiny_network, requests, responses)

@@ -89,25 +89,7 @@ class TestChunkedDistributedPlan:
         assert plan.last_run_stats["worker_compiles"] == 0
 
 
-class TestPairMemberShipping:
-    def test_fresh_workers_attach_pair_members_without_building(self):
-        """A pool forked before any compile still never builds pair arrays.
-
-        This is the case shared pair members exist for: the worker cannot
-        have inherited them through fork, so a zero delta proves they came
-        out of the shared segment.
-        """
-        plan = TrialPlan.from_factors(
-            [("Q_6", "hypercube", {"dimension": 6})], seeds=(11, 12),
-        )
-        with WorkerPool(max_workers=2) as fresh_pool:
-            # Fork the workers before the coordinator compiles anything, so
-            # nothing can be inherited.
-            fresh_pool.submit(pow, 2, 2).result()
-            plan.run(pool=fresh_pool)
-        assert plan.last_run_stats["worker_compiles"] == 0
-        assert plan.last_run_stats["worker_pair_builds"] == 0
-
+class TestWorkerTopologies:
     def test_worker_topology_cache_is_bounded(self):
         """Re-published topologies must not pin one mapping per name forever."""
         from repro.backend.csr import compile_network

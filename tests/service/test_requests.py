@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import asyncio
+import hashlib
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.service.requests import (
@@ -37,6 +42,69 @@ class TestKeys:
     def test_describe_is_stable_and_compact(self):
         request = DiagnosisRequest.seeded("star", {"n": 6}, seed=2)
         assert request.describe() == "star[n=6] random/delta random seed=2"
+
+
+class TestDigest:
+    def test_digest_hashes_any_contiguous_buffer_in_place(self):
+        payload = bytes(range(256)) * 3
+        expected = hashlib.sha256(payload).hexdigest()
+        array = np.frombuffer(payload, dtype=np.uint8)
+        assert syndrome_digest(payload) == expected
+        assert syndrome_digest(bytearray(payload)) == expected
+        assert syndrome_digest(array) == expected
+        assert syndrome_digest(array[10:20]) == hashlib.sha256(payload[10:20]).hexdigest()
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Count calls through the module-level ``syndrome_digest`` name."""
+        import repro.service.executor as executor
+        import repro.service.requests as requests
+
+        calls = []
+        original = requests.syndrome_digest
+
+        def counting(buffer):
+            calls.append(len(buffer))
+            return original(buffer)
+
+        monkeypatch.setattr(requests, "syndrome_digest", counting)
+        monkeypatch.setattr(executor, "syndrome_digest", counting)
+        return calls
+
+    def test_content_digest_is_lazy_and_memoized(self, counted):
+        request = DiagnosisRequest.from_dict(
+            {"family": "hypercube", "params": {"dimension": 5}, "syndrome_hex": "0001"}
+        )
+        assert counted == []  # parsing hashes nothing
+        assert request.content_digest == hashlib.sha256(b"\x00\x01").hexdigest()
+        request.key, request_key(request), request.describe()
+        assert len(counted) == 1
+
+    def test_memo_leaves_equality_hashing_and_pickling_alone(self):
+        first = DiagnosisRequest.from_syndrome("hypercube", {"dimension": 5}, b"\x00\x01")
+        same = DiagnosisRequest.from_syndrome("hypercube", {"dimension": 5}, b"\x00\x01")
+        first.content_digest
+        assert first == same and hash(first) == hash(same)
+        assert "_content_digest" not in repr(first)
+        assert pickle.loads(pickle.dumps(first)) == same
+
+    def test_served_explicit_request_is_hashed_at_most_twice(self, counted, q5):
+        """Store probe, dedup key and store commit share one hash; the
+        executor hashes the adopted buffer once more."""
+        from repro.backend import ArraySyndrome
+        from repro.service import DiagnosisService, ResultStore
+
+        syndrome = ArraySyndrome.from_faults(q5, {1, 2, 3}, seed=4)
+        request = DiagnosisRequest.from_syndrome("hypercube", {"dimension": 5}, syndrome)
+
+        async def serve():
+            async with DiagnosisService(store=ResultStore()) as service:
+                return await service.submit(request)
+
+        response = asyncio.run(serve())
+        assert response.ok
+        assert response.syndrome_digest == request.content_digest
+        assert len(counted) == 2
 
 
 class TestFromDict:

@@ -543,29 +543,6 @@ class TestPooledService:
         assert live_segments <= 1
         assert service.stats()["topology_cache"]["evictions"] == len(topologies) - 1
 
-    def test_fork_inherited_topology_adopts_shipped_pair_members(self):
-        """Workers that inherited a compiled (but pair-less) CSR graft the
-        shared pair members instead of rebuilding them."""
-        from repro.backend.csr import compile_network
-        from repro.networks.registry import cached_network, clear_network_cache
-        from repro.parallel import WorkerPool
-
-        # Compile in the parent via the registry memo, without touching the
-        # pair arrays, *before* the pool forks: workers inherit exactly the
-        # state that used to defeat the attach guard.  (Clear first so no
-        # earlier test's pair-member build rides along on the memo.)
-        clear_network_cache()
-        csr = compile_network(cached_network("hypercube", dimension=6))
-        assert csr._pair_members is None
-        with WorkerPool(max_workers=1) as pool:
-            pool.submit(pow, 2, 2).result()  # fork now
-            service = DiagnosisService(pool=pool)
-            responses = _serve(service, _request(0), _request(1))
-            stats = service.stats()
-        assert all(r.ok for r in responses)
-        assert stats["worker_compiles"] == 0
-        assert stats["worker_pair_builds"] == 0
-
     def test_capacity_zero_pooled_service_leaks_no_segments(self):
         """The naive baseline must not pin one shm segment per batch."""
         from repro.parallel import WorkerPool
